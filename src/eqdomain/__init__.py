@@ -52,6 +52,7 @@ from .geometry import (
     ClosureCertificate,
     PointSet,
     algebraic_closure,
+    in_pair_closure,
     is_algebraic,
     solution_set,
     union_target_m3,

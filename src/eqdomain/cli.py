@@ -253,7 +253,17 @@ def _load_single_table(path: str, strict: bool) -> Semigroup:
     return semigroups[0]
 
 
-def _load_point_set(spec: str, S: Semigroup, arity: int | None) -> tuple[PointSet, str]:
+def _check_arity(arity: int, allow_large: bool):
+    if arity > DEFAULT_ARITY_LIMIT and not allow_large:
+        raise ValueError(
+            f"arity {arity} exceeds the default limit {DEFAULT_ARITY_LIMIT}; "
+            "pass --allow-large to proceed"
+        )
+
+
+def _load_point_set(
+    spec: str, S: Semigroup, arity: int | None, allow_large: bool
+) -> tuple[PointSet, str]:
     if spec == "m3":
         return union_target_m3(S), "m3"
     if spec == "m4":
@@ -270,10 +280,9 @@ def _load_point_set(spec: str, S: Semigroup, arity: int | None) -> tuple[PointSe
             raise ValueError("--arity is required with an equations file") from None
         system = parse_equations(text, arity)
         return solution_set(S, system), f"@{path.name}"
-    Y = PointSet.from_jsonable(obj, n=S.order, k=arity)
-    if Y.n != S.order:
-        raise ValueError(f"point set is over order {Y.n}, table has order {S.order}")
-    return Y, f"@{path.name}"
+    n, k = PointSet.jsonable_shape(obj, n=S.order, k=arity)
+    _check_arity(k, allow_large)
+    return PointSet.from_jsonable(obj, n=n, k=k), f"@{path.name}"
 
 
 def cmd_closure(ns) -> int:
@@ -284,14 +293,9 @@ def cmd_closure(ns) -> int:
             print(f"error: --set {ns.set} fixes --arity {forced}", file=sys.stderr)
             return EXIT_INVALID
         arity = forced if forced is not None else ns.arity
-        if arity is not None and arity > DEFAULT_ARITY_LIMIT and not ns.allow_large:
-            print(
-                f"error: arity {arity} exceeds the default limit {DEFAULT_ARITY_LIMIT}; "
-                "pass --allow-large to proceed",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
-        Y, label = _load_point_set(ns.set, S, arity)
+        if arity is not None:
+            _check_arity(arity, ns.allow_large)
+        Y, label = _load_point_set(ns.set, S, arity, ns.allow_large)
     except (OSError, CorpusError, TableError, TermSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -328,14 +332,8 @@ def cmd_closure(ns) -> int:
 def cmd_term_functions(ns) -> int:
     try:
         S = _load_single_table(ns.file, ns.strict)
-        if ns.arity > DEFAULT_ARITY_LIMIT and not ns.allow_large:
-            print(
-                f"error: arity {ns.arity} exceeds the default limit {DEFAULT_ARITY_LIMIT}; "
-                "pass --allow-large to proceed",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
-    except (OSError, CorpusError, TableError) as e:
+        _check_arity(ns.arity, ns.allow_large)
+    except (OSError, CorpusError, TableError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     try:
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"closure budget in value vectors (default ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET})",
+        help=f"cap on the size of the computed clone (default ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET})",
     )
     common.add_argument("--strict", action="store_true", help="fail on any invalid corpus table")
     common.add_argument("--allow-large", action="store_true", help="lift the soft order/arity limits")

@@ -8,6 +8,7 @@ precisely when that closure adds no points.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .semigroups import Semigroup
 from .terms import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     Equation,
     System,
     TermFunction,
@@ -32,10 +34,16 @@ __all__ = [
     "union_target_m4",
     "ClosureCertificate",
     "algebraic_closure",
+    "in_pair_closure",
     "is_algebraic",
 ]
 
 POINT_ENCODING = "big-endian"  # coordinate 0 is the most significant digit
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true and false are not coordinates
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class PointSet:
@@ -64,9 +72,14 @@ class PointSet:
     def from_points(cls, n: int, k: int, points) -> "PointSet":
         mask = 0
         for p in points:
-            p = tuple(p)
+            try:
+                p = tuple(p)
+            except TypeError:
+                raise ValueError(f"point {p!r} is not a list of coordinates") from None
             if len(p) != k:
                 raise ValueError(f"point {p} does not have {k} coordinates")
+            if not all(_is_int(c) for c in p):
+                raise ValueError(f"point {p} has a coordinate that is not an integer")
             mask |= 1 << encode_point(p, n)
         return cls(n, k, mask)
 
@@ -158,22 +171,46 @@ class PointSet:
             "bitmap": format(self.mask, f"0{width}x"),
         }
 
-    @classmethod
-    def from_jsonable(cls, obj, n: int | None = None, k: int | None = None) -> "PointSet":
-        """Accepts a bare list of points or either serialized object form."""
+    @staticmethod
+    def jsonable_shape(obj, n: int | None = None, k: int | None = None) -> tuple[int, int]:
+        """The (n, k) of a serialized point set, checked against any given n and k.
+
+        Reads only the header, so a caller can vet the size of the point
+        space before :meth:`from_jsonable` builds it.
+        """
         if isinstance(obj, list):
             if n is None or k is None:
                 raise ValueError("a bare point list needs explicit n and k")
-            return cls.from_points(n, k, obj)
+            return n, k
         if not isinstance(obj, dict):
             raise ValueError("expected a list of points or a point-set object")
-        n = int(obj.get("n", n if n is not None else 0))
-        k = int(obj.get("k", k if k is not None else 0))
+        shape = []
+        for key, given in (("n", n), ("k", k)):
+            value = obj.get(key, given)
+            if value is None:
+                raise ValueError(f"point-set object needs a {key!r} field")
+            if not _is_int(value):
+                raise ValueError(f"point-set field {key!r} must be an integer, got {value!r}")
+            if given is not None and value != given:
+                raise ValueError(f"point-set object has {key}={value}, expected {given}")
+            shape.append(value)
+        return shape[0], shape[1]
+
+    @classmethod
+    def from_jsonable(cls, obj, n: int | None = None, k: int | None = None) -> "PointSet":
+        """Accepts a bare list of points or either serialized object form."""
+        n, k = cls.jsonable_shape(obj, n, k)
+        if isinstance(obj, list):
+            return cls.from_points(n, k, obj)
         if "encoding" in obj and obj["encoding"] != POINT_ENCODING:
             raise ValueError(f"unsupported point encoding {obj['encoding']!r}")
         if "bitmap" in obj:
+            if not isinstance(obj["bitmap"], str):
+                raise ValueError("'bitmap' must be a hex string")
             return cls(n, k, int(obj["bitmap"], 16))
         if "points" in obj:
+            if not isinstance(obj["points"], list):
+                raise ValueError("'points' must be a list of points")
             return cls.from_points(n, k, obj["points"])
         raise ValueError("point-set object needs a 'points' or 'bitmap' field")
 
@@ -263,6 +300,57 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
         pairs.extend((rep, funcs[m]) for m in members[1:])
     closure = PointSet._from_bool(keep, Y.n, Y.k)
     return ClosureCertificate(tuple(pairs), closure)
+
+
+def in_pair_closure(
+    S: Semigroup, q1, q2, p, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Whether the point p lies in the algebraic closure of {q1, q2}.
+
+    A term function matters here only through its values at the three
+    points, and those triples are exactly the subsemigroup of S^3
+    generated by the k triples (q1[i], q2[i], p[i]).  An equation holds on
+    {q1, q2} and fails at p precisely when two triples share their first
+    two coordinates but not the third, so p is in the closure iff the
+    third coordinate is a function of the first two.  The search stops at
+    the first such pair, so it keeps at most n^2 triples, where the full
+    clone can hold up to n^(n^k) functions.  Each distinct triple counts
+    against ``budget``.
+    """
+    k = len(p)
+    if len(q1) != k or len(q2) != k:
+        raise ValueError("the three points must have the same number of coordinates")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    n = S.order
+    if not all(0 <= c < n for c in (*q1, *q2, *p)):
+        raise ValueError(f"coordinates must lie in 0..{n - 1}")
+    table = S.table
+    generators = tuple(dict.fromkeys(zip(q1, q2, p)))
+    third: dict[tuple[int, int], int] = {}
+    triples: list[tuple[int, int, int]] = []
+
+    def add(a: int, b: int, c: int) -> bool:
+        seen = third.get((a, b))
+        if seen is not None:
+            return seen == c
+        if len(triples) >= budget:
+            raise BudgetExceeded(len(triples) + 1)
+        third[a, b] = c
+        triples.append((a, b, c))
+        return True
+
+    if not all(add(*g) for g in generators):
+        return False
+    # every word extends a one-letter-shorter word on the right
+    head = 0
+    while head < len(triples):
+        a, b, c = triples[head]
+        for x, y, z in generators:
+            if not add(table[a][x], table[b][y], table[c][z]):
+                return False
+        head += 1
+    return True
 
 
 def is_algebraic(

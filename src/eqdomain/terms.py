@@ -298,13 +298,6 @@ class TermFunction:
         return self.values[encode_point(point, self.order)]
 
 
-def _word_values(table_u8: np.ndarray, grid_u8: np.ndarray, word) -> np.ndarray:
-    v = grid_u8[word[0]]
-    for letter in word[1:]:
-        v = table_u8[v, grid_u8[letter]]
-    return v
-
-
 def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> list[TermFunction]:
     """Every function S^arity -> S induced by a term, in discovery order.
 

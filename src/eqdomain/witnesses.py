@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .geometry import PointSet, union_target_m3, union_target_m4, algebraic_closure
+from .geometry import (
+    PointSet,
+    algebraic_closure,
+    in_pair_closure,
+    union_target_m3,
+    union_target_m4,
+)
 from .semigroups import Case, Classification, ElementProfile, Semigroup, classify, monogenic_equal
 from .terms import DEFAULT_BUDGET, ExponentVector, power_eval
 
@@ -70,9 +76,13 @@ class WitnessReport:
         }
 
 
-def _require(cls: Classification, case: Case):
+def _classified(S: Semigroup, cls: Classification | None, case: Case) -> Classification:
+    """The given classification of S, or a fresh one, checked to be ``case``."""
+    if cls is None:
+        cls = classify(S)
     if cls.case is not case:
         raise ValueError(f"construction applies to {case.value}, got {cls.case.value}")
+    return cls
 
 
 def _closed_pair(S: Semigroup, x: int, y: int) -> bool:
@@ -80,7 +90,7 @@ def _closed_pair(S: Semigroup, x: int, y: int) -> bool:
     return all(S.mul(u, v) in pair for u in pair for v in pair)
 
 
-def witness_lemma1_case1(S: Semigroup) -> WitnessReport:
+def witness_lemma1_case1(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
     """Nowhere-commutative bands: find a two-element one-sided-zero pair.
 
     Searching ordered pairs (a, b) lexicographically, c = a*b gives a pair
@@ -89,8 +99,7 @@ def witness_lemma1_case1(S: Semigroup) -> WitnessReport:
     mirror pair with a*c = a and c*a = c.  Either way (a, c, c) lies
     outside the union target while (a, a, c) and (a, c, a) lie inside.
     """
-    cls = classify(S)
-    _require(cls, Case.IDEMPOTENT_NOWHERE_COMMUTATIVE)
+    cls = _classified(S, cls, Case.IDEMPOTENT_NOWHERE_COMMUTATIVE)
     n = S.order
     found = None
     for a in range(n):
@@ -137,7 +146,7 @@ def witness_lemma1_case1(S: Semigroup) -> WitnessReport:
     )
 
 
-def witness_lemma1_case2(S: Semigroup) -> WitnessReport:
+def witness_lemma1_case2(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
     """Bands with a commuting distinct pair a, b: c = a*b absorbs d in {a, b}.
 
     c = a*b = b*a satisfies a*c = c*a = c and b*c = c*b = c, so picking
@@ -145,8 +154,7 @@ def witness_lemma1_case2(S: Semigroup) -> WitnessReport:
     subsemigroup {d, c} in which c is absorbing.  (d, c, c) falls outside
     the union target, (d, d, c) and (d, c, d) inside.
     """
-    cls = classify(S)
-    _require(cls, Case.IDEMPOTENT_COMMUTING_PAIR)
+    cls = _classified(S, cls, Case.IDEMPOTENT_COMMUTING_PAIR)
     a, b = cls.pair
     c = S.mul(a, b)
     d = a if a != c else b
@@ -174,7 +182,7 @@ def witness_lemma1_case2(S: Semigroup) -> WitnessReport:
     )
 
 
-def witness_lemma2(S: Semigroup) -> WitnessReport:
+def witness_lemma2(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
     """x^2 = x^3 but not idempotent: {a, a^2} is closed with a != a^2.
 
     Every product inside {a, a^2} equals a^2, so a term takes the value a
@@ -182,8 +190,7 @@ def witness_lemma2(S: Semigroup) -> WitnessReport:
     at a.  (a, a^2, a^2) falls outside the union target, (a, a, a^2) and
     (a, a^2, a) inside.
     """
-    cls = classify(S)
-    _require(cls, Case.BOUNDED_NON_IDEMPOTENT)
+    cls = _classified(S, cls, Case.BOUNDED_NON_IDEMPOTENT)
     a = cls.element
     a2 = S.power(a, 2)
     a3 = S.power(a, 3)
@@ -206,7 +213,7 @@ def witness_lemma2(S: Semigroup) -> WitnessReport:
     )
 
 
-def witness_lemma3(S: Semigroup) -> WitnessReport:
+def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
     """Some a has a^2 != a^3: exponent arithmetic pins down the witness.
 
     Any equation holding at (a^2, a, a, a) and (a, a, a^2, a) relates pure
@@ -214,8 +221,7 @@ def witness_lemma3(S: Semigroup) -> WitnessReport:
     holds at (a^3, a^2, a^3, a^2), which lies outside the 4-variable union
     target because a^2 != a^3.
     """
-    cls = classify(S)
-    _require(cls, Case.UNBOUNDED)
+    cls = _classified(S, cls, Case.UNBOUNDED)
     a = cls.element
     a2 = S.power(a, 2)
     a3 = S.power(a, 3)
@@ -287,8 +293,12 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
 
     The separating point is the construction's own outside probe whenever
     the closure contains it (it always should), otherwise the least point
-    the closure adds to the target.  Raises :class:`WitnessNotFound` only
-    on internal inconsistencies the theory rules out.
+    the closure adds to the target.  The probe is first tested against the
+    closure of the two inside probes alone (:func:`in_pair_closure`); that
+    closure lies inside the target's, so a pass settles the report without
+    the full term clone.  Only a failing test falls back to the full
+    closure.  Raises :class:`WitnessNotFound` only on internal
+    inconsistencies the theory rules out.
     """
     cls = classify(S)
     if cls.case is Case.TRIVIAL:
@@ -304,7 +314,7 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
             separating_point=None,
             is_equational_domain=True,
         )
-    partial = _BUILDERS[cls.case](S)
+    partial = _BUILDERS[cls.case](S, cls)
     failed = [name for name, holds in partial.verified_identities if not holds]
     if failed:
         raise WitnessNotFound(f"asserted identities failed: {', '.join(failed)}")
@@ -315,12 +325,14 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
     for p in partial.outside_points:
         if p in target:
             raise WitnessNotFound(f"probe point {p} should lie outside {partial.target}")
+    probe = partial.outside_points[0]
+    if in_pair_closure(S, *partial.inside_points, probe, budget=budget):
+        return replace(partial, separating_point=probe)
     cert = algebraic_closure(S, target, budget=budget)
     extra = cert.closure.difference(target)
     if len(extra) == 0:
         raise WitnessNotFound(
             f"{partial.target} came out algebraic: no separating point exists"
         )
-    probe = partial.outside_points[0]
     separating = probe if probe in cert.closure else extra.least_point()
     return replace(partial, separating_point=separating)

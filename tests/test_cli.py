@@ -174,6 +174,32 @@ class TestClosure:
         assert doc["is_algebraic"] is True
         assert doc["closure"] == [[0, 0], [1, 1]]
 
+    @pytest.mark.parametrize(
+        "obj, arity, message",
+        [
+            ([[0, 1.5]], "2", "not an integer"),
+            ([[0, "a"]], "2", "not an integer"),
+            ([[0, True]], "2", "not an integer"),
+            ({"n": 2, "k": 2, "points": 5}, "2", "'points' must be a list"),
+            ({"n": [2], "k": 2, "points": []}, "2", "'n' must be an integer"),
+            ({"n": 2, "k": [2], "points": []}, "2", "'k' must be an integer"),
+            ({"n": 2, "k": 5, "points": []}, None, "--allow-large"),
+            ({"n": 2, "k": 3, "points": []}, "2", "k=3, expected 2"),
+        ],
+    )
+    def test_malformed_points_file_is_exit_2(
+        self, capsys, table_file, tmp_path, obj, arity, message
+    ):
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(obj))
+        argv = ["closure", table_file(MIN2), "--set", f"@{points}"]
+        if arity is not None:
+            argv += ["--arity", arity]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_bad_set_spec(self, capsys, table_file):
         code, _, err = run(capsys, "closure", table_file(Z2), "--set", "m5")
         assert code == 2

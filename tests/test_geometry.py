@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from eqdomain import (
+    BudgetExceeded,
     PointSet,
     System,
     algebraic_closure,
+    in_pair_closure,
     is_algebraic,
     parse_equation,
     solution_set,
@@ -62,6 +64,24 @@ class TestPointSet:
         assert obj["encoding"] == "big-endian"
         assert len(obj["bitmap"]) == 2  # ceil(8 / 4) hex digits
         assert PointSet.from_jsonable(obj) == Y
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[0, 1.5]],
+            [[0, "a"]],
+            [[0, True]],
+            [[0, 1], 5],
+            {"n": 2, "k": 2, "points": 5},
+            {"n": [2], "k": 2, "points": []},
+            {"n": 2, "k": "2", "points": []},
+            {"n": 2, "k": 2, "bitmap": 5},
+            {"n": 2, "k": 3, "points": []},
+        ],
+    )
+    def test_malformed_json_is_value_error(self, obj):
+        with pytest.raises(ValueError):
+            PointSet.from_jsonable(obj, n=2, k=2)
 
     def test_bare_list_needs_dimensions(self):
         with pytest.raises(ValueError):
@@ -174,6 +194,44 @@ class TestClosure:
             Z = algebraic_closure(S, random_point_set(rng, S.order, 2)).closure
             meet = Y & Z
             assert algebraic_closure(S, meet).closure == meet
+
+
+class TestPairClosure:
+    def test_matches_full_closure(self, semigroups_le3):
+        rng = random.Random(2019)
+        verdicts = []
+        for _ in range(1000):
+            S = rng.choice(semigroups_le3)
+            n, k = S.order, rng.randint(1, 4)
+            q1, q2, p = (tuple(rng.randrange(n) for _ in range(k)) for _ in range(3))
+            closure = algebraic_closure(S, PointSet.from_points(n, k, [q1, q2])).closure
+            verdict = in_pair_closure(S, q1, q2, p)
+            assert verdict == (p in closure), (S.table, q1, q2, p)
+            verdicts.append(verdict)
+        assert 100 < sum(verdicts) < 900  # both verdicts are well represented
+
+    def test_left_zero_probe(self):
+        assert in_pair_closure(LEFT_ZERO, (0, 0, 1), (0, 1, 0), (0, 1, 1))
+
+    def test_separated_by_an_equation(self):
+        # x^2 = x holds at 0 in Z2 and fails at 1
+        assert not in_pair_closure(Z2, (0,), (0,), (1,))
+
+    def test_budget_counts_distinct_triples(self):
+        # generators (0,1,1), (1,1,0), (1,0,1) are 3 distinct triples
+        q1, q2, p = (0, 1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 0)
+        with pytest.raises(BudgetExceeded) as info:
+            in_pair_closure(Z2, q1, q2, p, budget=2)
+        assert info.value.size == 3
+        assert in_pair_closure(Z2, q1, q2, p, budget=4)  # the 4 triples with c = a + b
+
+    def test_rejects_bad_points(self):
+        with pytest.raises(ValueError):
+            in_pair_closure(Z2, (0, 1), (0,), (1, 1))
+        with pytest.raises(ValueError):
+            in_pair_closure(Z2, (0, 2), (0, 1), (1, 1))
+        with pytest.raises(ValueError):
+            in_pair_closure(Z2, (0,), (0,), (1,), budget=0)
 
 
 class TestIsAlgebraic:

@@ -1,5 +1,6 @@
 import pytest
 
+import eqdomain.witnesses as witnesses
 from eqdomain import (
     BudgetExceeded,
     Case,
@@ -9,6 +10,7 @@ from eqdomain import (
     check_semigroup,
     classify,
     element_profile,
+    in_pair_closure,
     monogenic_table,
     union_target_m3,
     union_target_m4,
@@ -170,6 +172,28 @@ class TestProbeInvariants:
                 allowed = {r.elements["a"], r.elements["c"]}
             for p in r.inside_points + r.outside_points:
                 assert set(p) <= allowed
+
+
+class TestPairCertificate:
+    def test_outside_probe_certified_up_to_order_4(self, semigroups_le3, semigroups_order4):
+        for S in semigroups_le3 + semigroups_order4:
+            cls = classify(S)
+            if cls.case is Case.TRIVIAL:
+                continue
+            r = witnesses._BUILDERS[cls.case](S, cls)
+            assert in_pair_closure(S, *r.inside_points, r.outside_points[0]), S.table
+
+    def test_full_closure_fallback_gives_the_same_reports(self, semigroups_le3, monkeypatch):
+        certified = [check_semigroup(S).to_jsonable() for S in semigroups_le3]
+        monkeypatch.setattr(witnesses, "in_pair_closure", lambda *args, **kwargs: False)
+        fallback = [check_semigroup(S).to_jsonable() for S in semigroups_le3]
+        assert fallback == certified
+
+    def test_builders_accept_a_classification(self):
+        cls = classify(Z2)
+        assert witness_lemma3(Z2, cls) == witness_lemma3(Z2)
+        with pytest.raises(ValueError):
+            witness_lemma2(Z2, cls)
 
 
 class TestEq1Argument:
