@@ -278,6 +278,7 @@ def _load_point_set(
         # not JSON: an equations file, one equation per line
         if arity is None:
             raise ValueError("--arity is required with an equations file") from None
+        _check_arity(arity, allow_large)
         system = parse_equations(text, arity)
         return solution_set(S, system), f"@{path.name}"
     n, k = PointSet.jsonable_shape(obj, n=S.order, k=arity)
@@ -293,8 +294,6 @@ def cmd_closure(ns) -> int:
             print(f"error: --set {ns.set} fixes --arity {forced}", file=sys.stderr)
             return EXIT_INVALID
         arity = forced if forced is not None else ns.arity
-        if arity is not None:
-            _check_arity(arity, ns.allow_large)
         Y, label = _load_point_set(ns.set, S, arity, ns.allow_large)
     except (OSError, CorpusError, TableError, TermSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

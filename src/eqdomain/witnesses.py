@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from .geometry import (
     PointSet,
-    algebraic_closure,
     in_pair_closure,
     union_target_m3,
     union_target_m4,
@@ -291,14 +290,12 @@ def _target_set(S: Semigroup, name: str) -> PointSet:
 def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     """Classify, build the matching witness, and verify it against the closure.
 
-    The separating point is the construction's own outside probe whenever
-    the closure contains it (it always should), otherwise the least point
-    the closure adds to the target.  The probe is first tested against the
-    closure of the two inside probes alone (:func:`in_pair_closure`); that
-    closure lies inside the target's, so a pass settles the report without
-    the full term clone.  Only a failing test falls back to the full
-    closure.  Raises :class:`WitnessNotFound` only on internal
-    inconsistencies the theory rules out.
+    The separating point is the construction's own outside probe.  It is
+    certified by :func:`in_pair_closure`: the probe lies in the closure of
+    the two inside probes, which lies inside the closure of the target, so
+    the target is not algebraic and no full term clone is needed.  Raises
+    :class:`WitnessNotFound` only on internal inconsistencies the theory
+    rules out, including a probe the certificate rejects.
     """
     cls = classify(S)
     if cls.case is Case.TRIVIAL:
@@ -326,13 +323,6 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
         if p in target:
             raise WitnessNotFound(f"probe point {p} should lie outside {partial.target}")
     probe = partial.outside_points[0]
-    if in_pair_closure(S, *partial.inside_points, probe, budget=budget):
-        return replace(partial, separating_point=probe)
-    cert = algebraic_closure(S, target, budget=budget)
-    extra = cert.closure.difference(target)
-    if len(extra) == 0:
-        raise WitnessNotFound(
-            f"{partial.target} came out algebraic: no separating point exists"
-        )
-    separating = probe if probe in cert.closure else extra.least_point()
-    return replace(partial, separating_point=separating)
+    if not in_pair_closure(S, *partial.inside_points, probe, budget=budget):
+        raise WitnessNotFound(f"probe {probe} is not in the closure of the inside probes")
+    return replace(partial, separating_point=probe)

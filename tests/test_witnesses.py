@@ -183,11 +183,10 @@ class TestPairCertificate:
             r = witnesses._BUILDERS[cls.case](S, cls)
             assert in_pair_closure(S, *r.inside_points, r.outside_points[0]), S.table
 
-    def test_full_closure_fallback_gives_the_same_reports(self, semigroups_le3, monkeypatch):
-        certified = [check_semigroup(S).to_jsonable() for S in semigroups_le3]
+    def test_rejected_probe_is_an_inconsistency(self, monkeypatch):
         monkeypatch.setattr(witnesses, "in_pair_closure", lambda *args, **kwargs: False)
-        fallback = [check_semigroup(S).to_jsonable() for S in semigroups_le3]
-        assert fallback == certified
+        with pytest.raises(witnesses.WitnessNotFound):
+            check_semigroup(Z2)
 
     def test_builders_accept_a_classification(self):
         cls = classify(Z2)
