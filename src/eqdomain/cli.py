@@ -1,8 +1,8 @@
 """Command-line interface: check tables, enumerate semigroups, verify the theorem.
 
-Exit codes: 0 success, 2 invalid input (bad table, parse error, bad flags),
-3 internal inconsistency (a failed witness, an unverified identity, or an
-exceeded closure budget).
+Exit codes: 0 success, 1 stdout closed early by its reader, 2 invalid input
+(bad table, parse error, bad flags), 3 internal inconsistency (a failed
+witness, an unverified identity, or an exceeded closure budget).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .terms import DEFAULT_BUDGET, BudgetExceeded, TermSyntaxError, parse_equati
 from .witnesses import WitnessNotFound, check_semigroup
 
 EXIT_OK = 0
+EXIT_PIPE_CLOSED = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 
@@ -450,7 +451,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (say, `| head`); send what is
+        # still buffered to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

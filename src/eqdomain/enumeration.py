@@ -1,10 +1,17 @@
 """Exhaustive generation of small semigroups, canonical forms, and corpus files.
 
-Tables are generated by filling cells in row-major order and pruning as
-soon as a fully determined associativity triple fails, which keeps the
-search far below the n^(n^2) raw table space.  Canonical forms at these
-orders are found by direct minimization over all relabelings (and
-optionally the transpose), at most 2 * n! candidates.
+Tables are generated by a depth-first search with forward propagation.
+Each time a cell x*y becomes known, every associativity triple that uses
+it is revisited, and once three of a triple's four cells are known the
+fourth is forced (or the branch fails).  The search branches on the
+first unknown cell in row-major order with values in ascending order, so
+the raw stream is in lexicographic order of the flat table.
+
+Canonical forms at these orders are found by direct minimization over
+all relabelings (and optionally the transpose), at most 2 * n!
+candidates.  The reduced enumeration modes do not build that minimum:
+:func:`is_canonical` drops each candidate at its first larger cell and
+stops at the first smaller one.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ __all__ = [
     "CanonicalForm",
     "enumerate_tables",
     "canonicalize",
+    "is_canonical",
     "CorpusError",
     "CorpusWarning",
     "parse_corpus",
@@ -75,60 +83,131 @@ def canonical_table(table, mode: str):
     return best
 
 
+def is_canonical(table, mode: str) -> bool:
+    """Whether ``table`` equals ``canonical_table(table, mode)``.
+
+    True unless some relabeling (in ``up_to_iso_and_anti`` mode, also of
+    the transpose) is lexicographically smaller.  Each candidate is built
+    cell by cell in row-major order and dropped at the first cell where it
+    is larger, so most candidates cost a cell or two.
+    """
+    if mode == "raw":
+        return True
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    n = len(table)
+    views = [table]
+    if mode == "up_to_iso_and_anti":
+        views.append(_transpose(table))
+    inverse = [0] * n
+    for view in views:
+        # sigma maps a cell of the candidate to the cell of view it is read from
+        for sigma in permutations(range(n)):
+            for a, s in enumerate(sigma):
+                inverse[s] = a
+            for i in range(n):
+                row, src = table[i], view[sigma[i]]
+                for j in range(n):
+                    c = inverse[src[sigma[j]]]
+                    if c != row[j]:
+                        if c < row[j]:
+                            return False
+                        break
+                else:
+                    continue  # row i ties: compare row i + 1
+                break  # the candidate is larger: try the next one
+    return True
+
+
 def canonicalize(S: Semigroup, mode: str) -> CanonicalForm:
     return CanonicalForm(canonical_table(S.table, mode), mode)
 
 
 def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All associative n x n tables, in lexicographic order of the flat table."""
+    """All associative n x n tables, in lexicographic order of the flat table.
+
+    A depth-first search over a flat table ``t`` (``-1`` marks an unknown
+    cell).  It branches on the first unknown cell in row-major order, values
+    ascending, so the stream is lexicographic.  Every assignment goes on the
+    trail, and the trail past the branch point doubles as the work queue of
+    ``propagate``, which forces cells until nothing changes or a triple
+    fails.  Backtracking undoes the trail back to the branch point.
+    """
     size = n * n
-    flat = [-1] * size
+    t = [-1] * size
+    trail: list[int] = []
+    where: list[list[int]] = [[] for _ in range(n)]  # known cells by value
+    elements = range(n)
+    row_of = [p // n for p in range(size)]
+    col_of = [p % n for p in range(size)]
 
-    def triple_holds(x, y, z):
-        xy = flat[x * n + y]
-        if xy < 0:
-            return True
-        yz = flat[y * n + z]
-        if yz < 0:
-            return True
-        left = flat[xy * n + z]
-        if left < 0:
-            return True
-        right = flat[x * n + yz]
-        return right < 0 or left == right
+    def equate(p: int, q: int) -> bool:
+        """Make cells p and q equal if one is known; False if both differ."""
+        tp, tq = t[p], t[q]
+        if tp < 0:
+            if tq >= 0:
+                t[p] = tq
+                trail.append(p)
+                where[tq].append(p)
+        elif tq < 0:
+            t[q] = tp
+            trail.append(q)
+            where[tp].append(q)
+        elif tp != tq:
+            return False
+        return True
 
-    def consistent(a, b):
-        # only triples that involve the just-filled cell (a, b) can fail now
-        for z in range(n):
-            if not triple_holds(a, b, z):
-                return False
-        for x in range(n):
-            if not triple_holds(x, a, b):
-                return False
-        for x in range(n):
-            row = x * n
-            for y in range(n):
-                if flat[row + y] == a and not triple_holds(x, y, b):
+    def propagate(head: int) -> bool:
+        while head < len(trail):
+            pos = trail[head]
+            head += 1
+            x, y, v = row_of[pos], col_of[pos], t[pos]
+            xn, yn, vn = x * n, y * n, v * n
+            for z in elements:  # (x.y).z = x.(y.z)
+                yz = t[yn + z]
+                if yz >= 0 and not equate(vn + z, xn + yz):
                     return False
-        for y in range(n):
-            row = y * n
-            for z in range(n):
-                if flat[row + z] == b and not triple_holds(a, y, z):
+            for w in elements:  # (w.x).y = w.(x.y)
+                wx = t[w * n + x]
+                if wx >= 0 and not equate(wx * n + y, w * n + v):
+                    return False
+            for p in where[x]:  # x.y = (a.b).y = a.(b.y) where a.b = x
+                by = t[col_of[p] * n + y]
+                if by >= 0 and not equate(pos, row_of[p] * n + by):
+                    return False
+            for p in where[y]:  # x.y = x.(b.z) = (x.b).z where b.z = y
+                xb = t[xn + row_of[p]]
+                if xb >= 0 and not equate(pos, xb * n + col_of[p]):
                     return False
         return True
 
-    def search(pos):
+    stack: list[list[int]] = []  # [branch cell, trail mark, next value]
+    pos = 0
+    while True:
+        while pos < size and t[pos] >= 0:
+            pos += 1
         if pos == size:
-            yield tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
-            return
-        a, b = divmod(pos, n)
-        for v in range(n):
-            flat[pos] = v
-            if consistent(a, b):
-                yield from search(pos + 1)
-        flat[pos] = -1
-
-    yield from search(0)
+            yield tuple(tuple(t[r * n : (r + 1) * n]) for r in elements)
+        else:
+            stack.append([pos, len(trail), 0])
+        while stack:
+            frame = stack[-1]
+            pos, mark, v = frame
+            while len(trail) > mark:
+                p = trail.pop()
+                where[t[p]].pop()
+                t[p] = -1
+            if v == n:
+                stack.pop()
+                continue
+            frame[2] = v + 1
+            t[pos] = v
+            trail.append(pos)
+            where[v].append(pos)
+            if propagate(mark):
+                break
+        else:
+            return  # every branch is exhausted
 
 
 def enumerate_tables(order: int, mode: str = "raw", allow_large: bool = False) -> Iterator[Semigroup]:
@@ -150,9 +229,8 @@ def enumerate_tables(order: int, mode: str = "raw", allow_large: bool = False) -
 
     def generate():
         for table in _assoc_tables(order):
-            if mode != "raw" and canonical_table(table, mode) != table:
-                continue
-            yield Semigroup(table)
+            if is_canonical(table, mode):
+                yield Semigroup(table)
 
     return generate()
 

@@ -32,6 +32,7 @@ __all__ = [
     "solution_set",
     "union_target_m3",
     "union_target_m4",
+    "in_union_target",
     "ClosureCertificate",
     "algebraic_closure",
     "in_pair_closure",
@@ -255,6 +256,13 @@ def union_target_m4(S: Semigroup) -> PointSet:
     grid = coordinate_grid(S.order, 4)
     keep = (grid[0] == grid[1]) | (grid[2] == grid[3])
     return PointSet._from_bool(keep, S.order, 4)
+
+
+def in_union_target(point, name: str) -> bool:
+    """Whether ``point`` lies in the target ``m3`` or ``m4``, without building it."""
+    if name == "m3":
+        return point[0] == point[1] or point[0] == point[2]
+    return point[0] == point[1] or point[2] == point[3]
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .geometry import (
-    PointSet,
-    in_pair_closure,
-    union_target_m3,
-    union_target_m4,
-)
+from .geometry import in_pair_closure, in_union_target
 from .semigroups import Case, Classification, ElementProfile, Semigroup, classify, monogenic_equal
 from .terms import DEFAULT_BUDGET, ExponentVector, power_eval
 
@@ -283,10 +278,6 @@ _BUILDERS = {
 }
 
 
-def _target_set(S: Semigroup, name: str) -> PointSet:
-    return union_target_m3(S) if name == "m3" else union_target_m4(S)
-
-
 def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     """Classify, build the matching witness, and verify it against the closure.
 
@@ -315,12 +306,11 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
     failed = [name for name, holds in partial.verified_identities if not holds]
     if failed:
         raise WitnessNotFound(f"asserted identities failed: {', '.join(failed)}")
-    target = _target_set(S, partial.target)
     for p in partial.inside_points:
-        if p not in target:
+        if not in_union_target(p, partial.target):
             raise WitnessNotFound(f"probe point {p} should lie inside {partial.target}")
     for p in partial.outside_points:
-        if p in target:
+        if in_union_target(p, partial.target):
             raise WitnessNotFound(f"probe point {p} should lie outside {partial.target}")
     probe = partial.outside_points[0]
     if not in_pair_closure(S, *partial.inside_points, probe, budget=budget):

@@ -37,6 +37,63 @@ def brute_force_assoc_tables(n):
     return tables
 
 
+def cell_scan_assoc_tables(n):
+    """Every associative n x n table, in lexicographic order of the flat table.
+
+    The cell-scan search the enumerator used before propagation: cells are
+    filled in row-major order and each new cell rescans every triple that
+    uses it.  Kept as the oracle for the order of the raw stream.
+    """
+    size = n * n
+    flat = [-1] * size
+
+    def triple_holds(x, y, z):
+        xy = flat[x * n + y]
+        if xy < 0:
+            return True
+        yz = flat[y * n + z]
+        if yz < 0:
+            return True
+        left = flat[xy * n + z]
+        if left < 0:
+            return True
+        right = flat[x * n + yz]
+        return right < 0 or left == right
+
+    def consistent(a, b):
+        # only triples that involve the just-filled cell (a, b) can fail now
+        for z in range(n):
+            if not triple_holds(a, b, z):
+                return False
+        for x in range(n):
+            if not triple_holds(x, a, b):
+                return False
+        for x in range(n):
+            row = x * n
+            for y in range(n):
+                if flat[row + y] == a and not triple_holds(x, y, b):
+                    return False
+        for y in range(n):
+            row = y * n
+            for z in range(n):
+                if flat[row + z] == b and not triple_holds(a, y, z):
+                    return False
+        return True
+
+    def search(pos):
+        if pos == size:
+            yield tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
+            return
+        a, b = divmod(pos, n)
+        for v in range(n):
+            flat[pos] = v
+            if consistent(a, b):
+                yield from search(pos + 1)
+        flat[pos] = -1
+
+    yield from search(0)
+
+
 def power_by_table(S, a, e):
     v = a
     for _ in range(e - 1):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,25 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--order", "3", "--mode", "iso-anti")
         assert code == 0
         assert len(out.splitlines()) == 18
+
+    def test_reader_closing_early_is_not_a_traceback(self):
+        # the order-4 stream is far larger than a pipe buffer, so the writer
+        # is still printing when the reader goes away
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+            [sys.executable, "-m", "eqdomain", "enumerate", "--order", "4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            first = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert first["order"] == 4
+        assert code == 1
+        assert "Traceback" not in err
 
 
 class TestClosure:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eqdomain import (
@@ -11,12 +13,27 @@ from eqdomain import (
     parse_corpus,
     read_corpus,
 )
-from eqdomain.enumeration import canonical_table
-from support import LEFT_ZERO, RIGHT_ZERO, Z2, brute_force_assoc_tables
+from eqdomain.enumeration import canonical_table, is_canonical
+from support import LEFT_ZERO, RIGHT_ZERO, Z2, brute_force_assoc_tables, cell_scan_assoc_tables
 
 RAW_COUNTS = {1: 1, 2: 8, 3: 113}
 ISO_COUNTS = {2: 5, 3: 24}
 ANTI_COUNTS = {2: 4, 3: 18}
+# OEIS A023814, A027851 and A001423 at order 5
+ORDER5_COUNTS = {"raw": 183_732, "up_to_iso": 1_915, "up_to_iso_and_anti": 1_160}
+REDUCED = ("up_to_iso", "up_to_iso_and_anti")
+
+
+@pytest.fixture(scope="module")
+def order5_raw():
+    """The length of the raw order-5 stream and 2,000 seeded tables from it."""
+    picks = set(random.Random(5).sample(range(ORDER5_COUNTS["raw"]), 2000))
+    count, sample = 0, []
+    for i, S in enumerate(enumerate_tables(5)):
+        count += 1
+        if i in picks:
+            sample.append(S.table)
+    return count, sample
 
 
 class TestEnumerate:
@@ -44,6 +61,17 @@ class TestEnumerate:
             # every raw table reduces to some emitted representative
             reachable = {canonical_table(S.table, mode) for S in enumerate_tables(n)}
             assert reachable == set(reps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_raw_stream_matches_cell_scan_oracle(self, n):
+        assert [S.table for S in enumerate_tables(n)] == list(cell_scan_assoc_tables(n))
+
+    def test_order5_raw_count(self, order5_raw):
+        assert order5_raw[0] == ORDER5_COUNTS["raw"]
+
+    @pytest.mark.parametrize("mode", REDUCED)
+    def test_order5_reduced_counts(self, mode):
+        assert sum(1 for _ in enumerate_tables(5, mode)) == ORDER5_COUNTS[mode]
 
     def test_deterministic_order(self):
         assert [S.table for S in enumerate_tables(2)] == [
@@ -86,6 +114,32 @@ class TestCanonicalize:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             canonical_table(Z2.table, "nope")
+        with pytest.raises(ValueError):
+            is_canonical(Z2.table, "nope")
+
+
+class TestIsCanonical:
+    """The early-exit predicate against the full minimization it replaces."""
+
+    @pytest.mark.parametrize("mode", REDUCED)
+    def test_agrees_up_to_order_4(self, mode, semigroups_le3, semigroups_order4):
+        for S in semigroups_le3 + semigroups_order4:
+            assert is_canonical(S.table, mode) == (canonical_table(S.table, mode) == S.table)
+
+    @pytest.mark.parametrize("mode", REDUCED)
+    def test_agrees_on_an_order5_sample(self, mode, order5_raw):
+        sample = order5_raw[1]
+        assert len(sample) == 2000
+        for table in sample:
+            assert is_canonical(table, mode) == (canonical_table(table, mode) == table)
+
+    def test_raw_mode_keeps_everything(self):
+        assert is_canonical(RIGHT_ZERO.table, "raw")
+        assert is_canonical([[1, 0], [0, 1]], "raw")
+
+    def test_accepts_lists(self):
+        assert is_canonical([[0, 0], [0, 1]], "up_to_iso")
+        assert not is_canonical([[0, 1], [1, 1]], "up_to_iso")
 
 
 CORPUS = """\

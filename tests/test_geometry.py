@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from eqdomain import (
     union_target_m3,
     union_target_m4,
 )
+from eqdomain.geometry import in_union_target
 from support import (
     LEFT_ZERO,
     MIN2,
@@ -131,6 +133,13 @@ class TestUnionTargets:
 
         T = Semigroup([[0]])
         assert union_target_m3(T) == PointSet.full(1, 3)
+
+    def test_in_union_target_matches_the_built_sets(self, semigroups_le3):
+        for S in semigroups_le3:
+            for name, build, k in (("m3", union_target_m3, 3), ("m4", union_target_m4, 4)):
+                target = build(S)
+                for p in itertools.product(range(S.order), repeat=k):
+                    assert in_union_target(p, name) == (p in target)
 
 
 class TestClosure:
