@@ -34,6 +34,7 @@ from .terms import (
     System,
     Term,
     TermFunction,
+    TermFunctions,
     TermSyntaxError,
     VariableOutOfRange,
     all_points,

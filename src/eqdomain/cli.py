@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -83,13 +84,30 @@ def _check_table(args):
     return {"status": "ok", "report": report.to_jsonable()}
 
 
+def _check_tables(args):
+    return [_check_table(a) for a in args]
+
+
 def _map_tables(tables, budget: int, jobs: int):
+    """The result of each table, in table order, yielded as it arrives.
+
+    Under ``jobs`` workers the tables go out in chunks, in order, and at
+    most ``jobs + 1`` chunks are out at once: a reader slower than the
+    workers holds them back instead of letting results pile up.
+    """
     args = [(rows, budget) for rows in tables]
     if jobs <= 1 or len(args) <= 1:
-        return [_check_table(a) for a in args]
+        yield from map(_check_table, args)
+        return
     chunk = max(1, len(args) // (jobs * 8))
     with Pool(jobs) as pool:
-        return pool.map(_check_table, args, chunksize=chunk)
+        pending = deque()
+        for start in range(0, len(args), chunk):
+            pending.append(pool.apply_async(_check_tables, (args[start : start + chunk],)))
+            if len(pending) > jobs:
+                yield from pending.popleft().get()
+        while pending:
+            yield from pending.popleft().get()
 
 
 def _render_report_text(report: dict) -> str:
@@ -130,7 +148,7 @@ def cmd_check(ns) -> int:
     if not semigroups:
         print("error: no tables found in input", file=sys.stderr)
         return EXIT_INVALID
-    results = _map_tables([S.table for S in semigroups], ns.budget, ns.jobs)
+    results = list(_map_tables([S.table for S in semigroups], ns.budget, ns.jobs))
     if ns.format == "json":
         if len(results) == 1 and results[0]["status"] == "ok":
             print(_json_doc(results[0]["report"]))
@@ -164,11 +182,11 @@ def cmd_verify_theorem(ns) -> int:
     tables = []
     for order in range(2, ns.max_order + 1):
         tables.extend(S.table for S in enumerate_tables(order, mode, allow_large=ns.allow_large))
-    results = _map_tables(tables, ns.budget, ns.jobs)
-
     per_order: dict[int, dict] = {}
     failures = 0
-    for rows, result in zip(tables, results):
+    for rows, result in zip(tables, _map_tables(tables, ns.budget, ns.jobs)):
+        if ns.format == "json":
+            print(_json_line(result["report"] if result["status"] == "ok" else result))
         stats = per_order.setdefault(
             len(rows),
             {"tables": 0, "by_lemma": {}, "equational_domains": 0, "budget_exceeded": 0, "inconsistent": 0},
@@ -198,8 +216,6 @@ def cmd_verify_theorem(ns) -> int:
     }
 
     if ns.format == "json":
-        for result in results:
-            print(_json_line(result["report"] if result["status"] == "ok" else result))
         print(_json_line(summary))
     else:
         for order in sorted(per_order):
@@ -231,15 +247,15 @@ def cmd_enumerate(ns) -> int:
         return EXIT_INVALID
     mode = _CLI_MODES[ns.mode]
     count = 0
-    blocks = []
     for S in enumerate_tables(ns.order, mode, allow_large=ns.allow_large):
-        count += 1
         if ns.format == "json":
             print(_json_line({"order": S.order, "table": [list(r) for r in S.table]}))
         else:
-            blocks.append(format_table(S))
+            # blocks are separated by a blank line
+            print(("\n\n" if count else "") + format_table(S), end="")
+        count += 1
     if ns.format == "text":
-        print("\n\n".join(blocks))
+        print()
         print(f"\n# {count} tables of order {ns.order} ({ns.mode})", file=sys.stderr)
     return EXIT_OK
 

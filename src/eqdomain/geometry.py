@@ -9,17 +9,22 @@ precisely when that closure adds no points.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .semigroups import Semigroup
 from .terms import (
+    BLOCK_BYTES,
     DEFAULT_BUDGET,
     BudgetExceeded,
     Equation,
     System,
     TermFunction,
+    TermFunctions,
+    _regroup,
+    _row_hashes,
     coordinate_grid,
     decode_point,
     encode_point,
@@ -86,15 +91,13 @@ class PointSet:
 
     @classmethod
     def _from_bool(cls, flags: np.ndarray, n: int, k: int) -> "PointSet":
-        mask = 0
-        for i in np.flatnonzero(flags):
-            mask |= 1 << int(i)
-        return cls(n, k, mask)
+        packed = np.packbits(flags, bitorder="little")
+        return cls(n, k, int.from_bytes(packed.tobytes(), "little"))
 
     def _bool_array(self) -> np.ndarray:
         size = self.n**self.k
-        m = self.mask
-        return np.array([(m >> i) & 1 for i in range(size)], dtype=bool)
+        packed = np.frombuffer(self.mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=size, bitorder="little").astype(bool)
 
     def _check_compatible(self, other: "PointSet"):
         if self.n != other.n or self.k != other.k:
@@ -265,6 +268,29 @@ def in_union_target(point, name: str) -> bool:
     return point[0] == point[1] or point[2] == point[3]
 
 
+class _AgreeingPairs(Sequence):
+    """Pairs (term function ``reps[i]``, term function ``members[i]``), built on access."""
+
+    def __init__(self, funcs: TermFunctions, reps: np.ndarray, members: np.ndarray):
+        self.funcs = funcs
+        self.reps = reps
+        self.members = members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        return self.funcs[int(self.reps[i])], self.funcs[int(self.members[i])]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class ClosureCertificate:
     """Why the closure is what it is.
@@ -275,7 +301,7 @@ class ClosureCertificate:
     always contains the input set.
     """
 
-    agreeing_pairs: tuple[tuple[TermFunction, TermFunction], ...]
+    agreeing_pairs: Sequence[tuple[TermFunction, TermFunction]]
     closure: PointSet
 
 
@@ -286,28 +312,52 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     restriction to Y (two functions agreeing on Y give an equation that
     holds on Y), and keeps the points where every group is still constant.
     Grouping makes this linear in the number of functions instead of
-    quadratic over function pairs.
+    quadratic over function pairs.  Groups are found by a hash of the
+    restriction and confirmed by comparing restrictions; the first member
+    of a group, in discovery order, is its representative.
     """
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
     funcs = term_functions(S, Y.k, budget=budget)
+    values = funcs.rows
     npoints = Y.n**Y.k
-    vectors = [np.frombuffer(f.values, dtype=np.uint8) for f in funcs]
     y_idx = np.flatnonzero(Y._bool_array())
-    groups: dict[bytes, list[int]] = {}
-    for fi, vec in enumerate(vectors):
-        groups.setdefault(vec[y_idx].tobytes(), []).append(fi)
-    keep = np.ones(npoints, dtype=bool)
-    pairs = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        stacked = np.stack([vectors[m] for m in members])
-        keep &= (stacked == stacked[0]).all(axis=0)
-        rep = funcs[members[0]]
-        pairs.extend((rep, funcs[m]) for m in members[1:])
+    step = max(1, BLOCK_BYTES // values.shape[1])
+
+    def restrict(rows) -> np.ndarray:
+        # the values on Y of the given rows, zero padded to whole 8-byte words
+        picked = values[rows][:, y_idx]
+        out = np.zeros((len(picked), -(-len(y_idx) // 8) * 8), dtype=np.uint8)
+        out[:, : len(y_idx)] = picked
+        return out
+
+    def fold(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (points where every member agrees with its representative,
+        #  the members, the members whose restriction differs from it)
+        members = np.flatnonzero(rep != np.arange(len(rep)))
+        keep = np.ones(npoints, dtype=bool)
+        split = []
+        for s in range(0, len(members), step):
+            part = members[s : s + step]
+            agree = values[part, :npoints] == values[rep[part], :npoints]
+            split.append(part[~agree[:, y_idx].all(axis=1)])
+            keep &= agree.all(axis=0)
+        return keep, members, np.concatenate([members[:0], *split])
+
+    hashes = np.concatenate(
+        [_row_hashes(restrict(slice(s, s + step))) for s in range(0, len(values), step)]
+    )
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    keep, members, split = fold(rep)
+    if len(split):
+        # a hash shared by different restrictions: regroup exactly, fold again
+        _regroup(rep, hashes, split, restrict)
+        keep, members, _ = fold(rep)
+    # pairs by group, groups in the order of their representatives
+    members = members[np.argsort(rep[members], kind="stable")]
     closure = PointSet._from_bool(keep, Y.n, Y.k)
-    return ClosureCertificate(tuple(pairs), closure)
+    return ClosureCertificate(_AgreeingPairs(funcs, rep[members], members), closure)
 
 
 def in_pair_closure(

@@ -9,6 +9,7 @@ the closure of the coordinate projections under the pointwise product.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,14 @@ __all__ = [
     "exponent_vector",
     "power_eval",
     "TermFunction",
+    "TermFunctions",
     "term_functions",
 ]
 
 MAX_EXPONENT = 64  # parser bound; keeps one factor from expanding unboundedly
 DEFAULT_BUDGET = 1_000_000
+BLOCK_BYTES = 1 << 21  # product bytes built per step of the term-function search
+_HASH_CHUNK_BYTES = 1 << 17
 
 
 class TermSyntaxError(ValueError):
@@ -298,7 +302,228 @@ class TermFunction:
         return self.values[encode_point(point, self.order)]
 
 
-def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> list[TermFunction]:
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """A fixed 64-bit hash of each row of a C-contiguous uint8 matrix.
+
+    The width must be a multiple of 8, so the rows read as uint64 words
+    without a copy.  Word j is multiplied by its own odd key, the splitmix64
+    output for j, and xored with its high half, a bijection, and the
+    results are summed mod 2**64: rows that differ in a single word never
+    collide.  An equal hash is only a hint; callers confirm it by comparing
+    the rows.
+    """
+    words = rows.view(np.uint64)
+    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        keys = (keys ^ keys >> np.uint64(shift)) * np.uint64(multiplier)
+    keys ^= keys >> np.uint64(31)
+    keys |= np.uint64(1)
+    out = np.empty(len(words), dtype=np.uint64)
+    step = max(1, _HASH_CHUNK_BYTES // max(1, rows.shape[1]))  # a cache-sized slice at a time
+    for s in range(0, len(words), step):
+        mixed = words[s : s + step] * keys
+        mixed ^= mixed >> np.uint64(32)
+        mixed.sum(axis=1, dtype=np.uint64, out=out[s : s + step])
+    return out
+
+
+def _first_equal(hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row equal to it.
+
+    Rows are grouped by hash and each member is compared with its group's
+    first row; see :func:`_regroup` for a hash that different rows share.
+    """
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    others = np.flatnonzero(rep != np.arange(len(rep)))
+    differ = rows[others].view(np.uint64) != rows[rep[others]].view(np.uint64)
+    _regroup(rep, hashes, others[differ.any(axis=1)], rows.__getitem__)
+    return rep
+
+
+def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
+    """Make ``rep`` exact for each hash that a row in ``split`` shares with
+    a different row: the rows of such a hash are regrouped by their bytes,
+    each pointing at the first row with the same bytes.
+
+    ``rows_of(idx)`` gives the rows at the indices ``idx``.
+    """
+    for h in np.unique(hashes[split]):
+        members = np.flatnonzero(hashes == h)
+        seen: dict[bytes, int] = {}
+        for m, row in zip(members.tolist(), rows_of(members)):
+            rep[m] = seen.setdefault(row.tobytes(), m)
+
+
+class _HashIndex:
+    """A map from 64-bit hashes to row numbers, in two numpy arrays.
+
+    Open addressing with linear probing: a key starts at the slot named by
+    its top bits and moves to the next slot while that one holds another
+    key.  The table is kept at most half full, so a batch of lookups or
+    inserts takes a few vectorized rounds.  A key stored twice (rows whose
+    hashes collide) is found under either row.
+    """
+
+    def __init__(self):
+        self.bits = 10
+        self.keys = np.zeros(1 << self.bits, dtype=np.uint64)
+        self.rows = np.full(1 << self.bits, -1, dtype=np.intp)  # -1: an empty slot
+        self.size = 0
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        return (keys >> np.uint64(64 - self.bits)).astype(np.intp)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The row stored under each key, or -1."""
+        found = np.full(len(keys), -1, dtype=np.intp)
+        slot = self._slots(keys)
+        todo = np.arange(len(keys))
+        while len(todo):
+            rows = self.rows[slot[todo]]
+            hit = (rows >= 0) & (self.keys[slot[todo]] == keys[todo])
+            found[todo[hit]] = rows[hit]
+            todo = todo[(rows >= 0) & ~hit]
+            slot[todo] = (slot[todo] + 1) & (len(self.rows) - 1)
+        return found
+
+    def insert(self, keys: np.ndarray, rows: np.ndarray):
+        """Store each key with its row."""
+        if 2 * (self.size + len(keys)) > len(self.rows):
+            # rehash everything into a table at most a quarter full
+            used = self.rows >= 0
+            keys = np.concatenate([self.keys[used], keys])
+            rows = np.concatenate([self.rows[used], rows])
+            self.bits = (4 * len(keys)).bit_length()
+            self.keys = np.zeros(1 << self.bits, dtype=np.uint64)
+            self.rows = np.full(1 << self.bits, -1, dtype=np.intp)
+            self.size = 0
+        self.size += len(keys)
+        slot = self._slots(keys)
+        todo = np.arange(len(keys))
+        while len(todo):
+            free = np.flatnonzero(self.rows[slot[todo]] < 0)
+            # of the keys that reach one free slot, the first takes it
+            _, first = np.unique(slot[todo[free]], return_index=True)
+            won = todo[free[first]]
+            self.keys[slot[won]] = keys[won]
+            self.rows[slot[won]] = rows[won]
+            todo = np.delete(todo, free[first])
+            # every slot the rest reached is taken now: probe on
+            slot[todo] = (slot[todo] + 1) & (len(self.rows) - 1)
+
+
+class _CloneTable:
+    """Distinct zero-padded rows in discovery order, with a verified hash index."""
+
+    def __init__(self, width: int, budget: int):
+        self.budget = budget
+        self.rows = np.zeros((0, width), dtype=np.uint8)
+        self.count = 0
+        self.parents: list[np.ndarray] = []
+        self.letters: list[np.ndarray] = []
+        self.index = _HashIndex()  # hash -> a stored row with that hash
+
+    def _stored(self, rows: np.ndarray, hashes: np.ndarray, which: np.ndarray) -> np.ndarray:
+        """Which of the rows at the indices ``which`` are already in the table."""
+        known = np.zeros(len(which), dtype=bool)
+        ref = self.index.find(hashes[which])
+        hit = np.flatnonzero(ref >= 0)
+        stored = self.rows[ref[hit]].view(np.uint64)
+        known[hit] = (stored == rows[which[hit]].view(np.uint64)).all(axis=1)
+        for j in hit[~known[hit]]:
+            # a hash collision: compare with every stored row
+            known[j] = (self.rows == rows[which[j]]).all(axis=1).any()
+        return known
+
+    def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
+        """Append the rows not seen before, in order, first occurrence kept."""
+        hashes = _row_hashes(rows)
+        rep = _first_equal(hashes, rows)
+        fresh = np.flatnonzero(rep == np.arange(len(rows)))
+        new = fresh[~self._stored(rows, hashes, fresh)]
+        end = self.count + len(new)
+        if end > self.budget:
+            raise BudgetExceeded(self.budget + 1)
+        # In place, so a large matrix is remapped rather than copied.  No
+        # view of it outlives a step of the search; the reference check is
+        # off because a profiler's bound-method call adds a reference.
+        self.rows.resize((end, self.rows.shape[1]), refcheck=False)
+        np.take(rows, new, axis=0, out=self.rows[self.count : end])
+        self.parents.append(parent[new])
+        self.letters.append(letter[new])
+        self.index.insert(hashes[new], np.arange(self.count, end))
+        self.count = end
+
+
+def _right_products(heads: np.ndarray, rho: list[bytes], arity: int, npoints: int) -> np.ndarray:
+    """Row ``b * arity + i``: row b of ``heads`` times x_{i+1}, pointwise.
+
+    On the points whose coordinate i is y, the product is the byte map
+    ``rho[y]`` (x -> x*y) applied with ``bytes.translate``.  Coordinate i is
+    digit i of the big-endian point index, so those points come in runs of
+    n**(arity-1-i); each run is read as one void item, which keeps the
+    strided copies in and out of ``translate`` to one item per run.
+    """
+    count, width = heads.shape
+    n = len(rho)
+    out = np.empty((count, arity, width), dtype=np.uint8)
+    out[:, :, npoints:] = 0
+    for i in range(arity):
+        shape = (count, -1, n, n ** (arity - 1 - i))  # (head, higher digits, y, run)
+        run = f"V{shape[-1]}"
+        src = heads[:, :npoints].reshape(shape).view(run)[..., 0]
+        dst = out[:, i, :npoints].reshape(shape).view(run)[..., 0]
+        for y in range(n):
+            moved = src[:, :, y].tobytes().translate(rho[y])
+            dst[:, :, y] = np.frombuffer(moved, dtype=run).reshape(count, -1)
+    return out.reshape(count * arity, width)
+
+
+class TermFunctions(Sequence):
+    """The term functions of one arity, in discovery order, held as arrays.
+
+    ``rows[i, :order**arity]`` are the values of function i; the rest of
+    the row is zero padding to a whole number of 8-byte words.  Function i
+    is function ``parent[i]`` times the variable ``letter[i]``, or that
+    variable alone when ``parent[i]`` is -1, so its witness word is read
+    back along the parents.  Items are built as :class:`TermFunction` on
+    access.
+    """
+
+    def __init__(self, order: int, arity: int, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
+        self.order = order
+        self.arity = arity
+        self.rows = rows
+        self.parent = parent
+        self.letter = letter
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        word = []
+        j = i
+        while j >= 0:
+            word.append(int(self.letter[j]))
+            j = int(self.parent[j])
+        return self._function(i, tuple(reversed(word)))
+
+    def __iter__(self):
+        words: list[tuple[int, ...]] = []
+        for i, (p, x) in enumerate(zip(self.parent.tolist(), self.letter.tolist())):
+            words.append((words[p] if p >= 0 else ()) + (x,))
+            yield self._function(i, words[i])
+
+    def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
+        values = self.rows[i, : self.order**self.arity].tobytes()
+        return TermFunction(self.order, self.arity, values, Term(word, self.arity))
+
+
+def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> TermFunctions:
     """Every function S^arity -> S induced by a term, in discovery order.
 
     The set is the least one containing the coordinate projections and
@@ -309,6 +534,12 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> li
     O(size * arity) products.  Projections are seeded in variable order
     and the queue is FIFO, so the computation is deterministic and each
     function carries a shortest witness term (first found).
+
+    The worklist is taken a block of functions at a time: the block's
+    products come in (function, variable) order and the first occurrence
+    of each new value vector is kept, which is the order of the one-by-one
+    search.  Each function costs its n**arity values, padded to 8 bytes,
+    so ``budget`` (a function count) also bounds the memory.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
@@ -318,38 +549,26 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> li
     if n > 255:
         raise ValueError("value vectors are byte-packed; order must be <= 255")
     npoints = n**arity
-    table = S.as_array().astype(np.uint8)
-    grid = coordinate_grid(n, arity).astype(np.uint8)
-
-    functions: list[TermFunction] = []
-    index_of: dict[bytes, int] = {}
-    capacity = 64
-    rows = np.empty((capacity, npoints), dtype=np.uint8)
-
-    def add(vec: np.ndarray, word: tuple[int, ...]):
-        nonlocal rows, capacity
-        key = vec.tobytes()
-        if key in index_of:
-            return
-        if len(functions) >= budget:
-            raise BudgetExceeded(len(functions) + 1)
-        if len(functions) == capacity:
-            capacity *= 2
-            grown = np.empty((capacity, npoints), dtype=np.uint8)
-            grown[: len(functions)] = rows[: len(functions)]
-            rows = grown
-        rows[len(functions)] = vec
-        index_of[key] = len(functions)
-        functions.append(TermFunction(n, arity, key, Term(word, arity)))
-
-    for i in range(arity):
-        add(grid[i], (i,))
-
+    width = -(-npoints // 8) * 8
+    table = S.as_array()
+    rho = [bytes(table[:, y].tolist()) + bytes(256 - n) for y in range(n)]
+    clone = _CloneTable(width, budget)
+    projections = np.zeros((arity, width), dtype=np.uint8)
+    projections[:, :npoints] = coordinate_grid(n, arity)
+    variables = np.arange(arity)
+    clone.add(projections, np.full(arity, -1), variables)
+    step = max(1, BLOCK_BYTES // (arity * width))
     head = 0
-    while head < len(functions):
-        extended = table[rows[head], grid]  # row i: (current word) * x_{i+1}
-        word = functions[head].witness.word
-        for i in range(arity):
-            add(extended[i], word + (i,))
-        head += 1
-    return functions
+    while head < clone.count:
+        stop = min(head + step, clone.count)
+        products = _right_products(clone.rows[head:stop], rho, arity, npoints)
+        parent = np.repeat(np.arange(head, stop), arity)
+        clone.add(products, parent, np.tile(variables, stop - head))
+        head = stop
+    return TermFunctions(
+        n,
+        arity,
+        clone.rows[: clone.count],
+        np.concatenate(clone.parents),
+        np.concatenate(clone.letters),
+    )

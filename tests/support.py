@@ -2,14 +2,25 @@
 
 The oracles deliberately avoid the library's fixpoint/grouping machinery:
 associativity is brute-forced over all triples of raw tables, and the
-closure oracle enumerates raw words without deduplication.
+closure oracle enumerates raw words without deduplication.  The one-by-one
+term-function search and its grouping by ``bytes`` keys are kept as the
+oracles of the block engine and of the numpy grouping in the library.
 """
 
 import itertools
 
 import numpy as np
 
-from eqdomain import PointSet, Semigroup, coordinate_grid, decode_point
+from eqdomain import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    PointSet,
+    Semigroup,
+    Term,
+    TermFunction,
+    coordinate_grid,
+    decode_point,
+)
 
 LEFT_ZERO = Semigroup([[0, 0], [1, 1]])
 RIGHT_ZERO = Semigroup([[0, 1], [0, 1]])
@@ -20,6 +31,8 @@ NULL2 = Semigroup([[1, 1], [1, 1]])  # a*a = a^2 absorbing, elements a, a^2
 CHAIN3 = Semigroup([[min(i, j) for j in range(3)] for i in range(3)])
 # 2x2 rectangular band: element 2i+j is the pair (i, j), (i,j)(i',j') = (i, j')
 RECT_BAND_2X2 = Semigroup([[(i // 2) * 2 + (j % 2) for j in range(4)] for i in range(4)])
+# the order-5 class with the largest arity-3 clone (1,614 functions)
+A2 = Semigroup([[0, 0, 0, 0, 0], [0, 0, 0, 1, 2], [0, 1, 2, 1, 2], [0, 0, 0, 3, 4], [0, 3, 4, 3, 4]])
 
 
 def brute_force_assoc_tables(n):
@@ -92,6 +105,76 @@ def cell_scan_assoc_tables(n):
         flat[pos] = -1
 
     yield from search(0)
+
+
+def per_head_term_functions(S, arity, budget=DEFAULT_BUDGET):
+    """Every term function, in discovery order, extending one function at a time.
+
+    The breadth-first search the library used before the block engine:
+    each discovered function is multiplied by every projection on the
+    right, and a value vector is new when its bytes are not a key yet.
+    """
+    n = S.order
+    npoints = n**arity
+    table = S.as_array().astype(np.uint8)
+    grid = coordinate_grid(n, arity).astype(np.uint8)
+
+    functions = []
+    index_of = {}
+    capacity = 64
+    rows = np.empty((capacity, npoints), dtype=np.uint8)
+
+    def add(vec, word):
+        nonlocal rows, capacity
+        key = vec.tobytes()
+        if key in index_of:
+            return
+        if len(functions) >= budget:
+            raise BudgetExceeded(len(functions) + 1)
+        if len(functions) == capacity:
+            capacity *= 2
+            grown = np.empty((capacity, npoints), dtype=np.uint8)
+            grown[: len(functions)] = rows[: len(functions)]
+            rows = grown
+        rows[len(functions)] = vec
+        index_of[key] = len(functions)
+        functions.append(TermFunction(n, arity, key, Term(word, arity)))
+
+    for i in range(arity):
+        add(grid[i], (i,))
+
+    head = 0
+    while head < len(functions):
+        extended = table[rows[head], grid]  # row i: (current word) * x_{i+1}
+        word = functions[head].witness.word
+        for i in range(arity):
+            add(extended[i], word + (i,))
+        head += 1
+    return functions
+
+
+def grouped_closure(S, Y: PointSet):
+    """(agreeing pairs, closure mask) by grouping the oracle's functions on
+    the bytes of their restriction to Y, first member as representative."""
+    funcs = per_head_term_functions(S, Y.k)
+    npoints = Y.n**Y.k
+    vectors = [np.frombuffer(f.values, dtype=np.uint8) for f in funcs]
+    y_idx = np.array([i for i in range(npoints) if Y.contains_index(i)], dtype=np.intp)
+    groups = {}
+    for fi, vec in enumerate(vectors):
+        groups.setdefault(vec[y_idx].tobytes(), []).append(fi)
+    keep = np.ones(npoints, dtype=bool)
+    pairs = []
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        stacked = np.stack([vectors[m] for m in members])
+        keep &= (stacked == stacked[0]).all(axis=0)
+        pairs.extend((funcs[members[0]], funcs[m]) for m in members[1:])
+    mask = 0
+    for i in np.flatnonzero(keep):
+        mask |= 1 << int(i)
+    return pairs, mask
 
 
 def power_by_table(S, a, e):

@@ -130,6 +130,18 @@ class TestEnumerate:
         tables = [S.table for S in parse_corpus(out)]
         assert len(tables) == 8
 
+    @pytest.mark.parametrize("mode", ["raw", "iso"])
+    def test_text_stream_matches_json_lines(self, capsys, mode):
+        _, text, err = run(capsys, "enumerate", "--order", "3", "--mode", mode, "--format", "text")
+        _, lines, _ = run(capsys, "enumerate", "--order", "3", "--mode", mode)
+        expected = [json.loads(line)["table"] for line in lines.splitlines()]
+        # blocks separated by one blank line, and one newline at the end
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        blocks = [block.splitlines() for block in text[:-1].split("\n\n")]
+        assert [block[0] for block in blocks] == ["3"] * len(expected)
+        assert [[list(map(int, r.split())) for r in block[1:]] for block in blocks] == expected
+        assert err == f"\n# {len(expected)} tables of order 3 ({mode})\n"
+
     def test_modes(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--order", "3", "--mode", "iso-anti")
         assert code == 0

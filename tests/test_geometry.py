@@ -18,10 +18,12 @@ from eqdomain import (
 )
 from eqdomain.geometry import in_union_target
 from support import (
+    A2,
     LEFT_ZERO,
     MIN2,
     Z2,
     Z3,
+    grouped_closure,
     naive_closure_mask,
     naive_is_algebraic,
     random_point_set,
@@ -29,6 +31,16 @@ from support import (
 
 
 class TestPointSet:
+    def test_bitmap_round_trip(self):
+        # n**k not a multiple of 8, so the last byte is partly padding
+        rng = random.Random(5)
+        for n, k in ((3, 3), (2, 3), (5, 2), (3, 1), (2, 4)):
+            for _ in range(50):
+                Y = random_point_set(rng, n, k)
+                flags = Y._bool_array()
+                assert flags.tolist() == [bool((Y.mask >> i) & 1) for i in range(n**k)]
+                assert PointSet._from_bool(flags, n, k) == Y
+
     def test_from_points_and_membership(self):
         Y = PointSet.from_points(2, 2, [(0, 1), (1, 1)])
         assert (0, 1) in Y and (1, 0) not in Y
@@ -271,3 +283,44 @@ class TestIsAlgebraic:
             cert = algebraic_closure(S, Y)
             assert cert.closure.mask == naive_closure_mask(S, Y)
             assert is_algebraic(S, Y) == naive_is_algebraic(S, Y)
+
+
+def pair_listing(pairs):
+    return [(f.values, f.witness.word, g.values, g.witness.word) for f, g in pairs]
+
+
+class TestClosureGrouping:
+    """The numpy grouping against grouping by the bytes of each restriction."""
+
+    def check(self, S, Y):
+        cert = algebraic_closure(S, Y)
+        pairs, mask = grouped_closure(S, Y)
+        assert len(cert.agreeing_pairs) == len(pairs)
+        assert pair_listing(cert.agreeing_pairs) == pair_listing(pairs)
+        assert cert.closure.mask == mask
+
+    def test_matches_oracle_grouping(self, semigroups_le3):
+        rng = random.Random(23)
+        for _ in range(80):
+            S = rng.choice(semigroups_le3)
+            k = rng.randint(1, 3)
+            self.check(S, random_point_set(rng, S.order, k))
+        self.check(A2, union_target_m3(A2))
+        self.check(A2, PointSet.empty(5, 2))
+
+    def test_constant_hash_changes_nothing(self, constant_hash, semigroups_le3):
+        rng = random.Random(29)
+        for _ in range(30):
+            S = rng.choice(semigroups_le3)
+            k = rng.randint(1, 3)
+            self.check(S, random_point_set(rng, S.order, k))
+        self.check(A2, union_target_m3(A2))
+
+    def test_pairs_index_like_a_tuple(self):
+        pairs = algebraic_closure(A2, union_target_m3(A2)).agreeing_pairs
+        listed = list(pairs)
+        assert pair_listing([pairs[-1]]) == pair_listing(listed[-1:])
+        assert pair_listing(pairs[2:5]) == pair_listing(listed[2:5])
+        assert pairs == listed and pairs != listed[:-1]
+        with pytest.raises(IndexError):
+            pairs[len(pairs)]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqdomain.terms
 from eqdomain import (
     BudgetExceeded,
     EmptyTermError,
@@ -20,10 +21,11 @@ from eqdomain import (
     parse_equations,
     parse_term,
     power_eval,
+    enumerate_tables,
     term_functions,
 )
 from eqdomain import monogenic_table
-from support import LEFT_ZERO, MIN2, Z2, Z3, raw_word_vectors
+from support import A2, LEFT_ZERO, MIN2, Z2, Z3, per_head_term_functions, raw_word_vectors
 
 words = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
 
@@ -247,3 +249,63 @@ class TestTermFunctions:
     def test_function_call_indexes_values(self):
         f = term_functions(Z2, 2)[0]
         assert f((1, 0)) == 1
+
+
+def listing(funcs):
+    return [(f.values, f.witness.word) for f in funcs]
+
+
+class TestBlockEngine:
+    """The block engine against the one-by-one search it replaced."""
+
+    def test_matches_oracle_up_to_order_3(self, semigroups_le3):
+        for S in semigroups_le3:
+            for k in (1, 2, 3):
+                assert listing(term_functions(S, k)) == listing(per_head_term_functions(S, k))
+
+    def test_matches_oracle_on_order_4_iso_classes_at_arity_3(self):
+        classes = list(enumerate_tables(4, "up_to_iso"))
+        assert len(classes) == 188
+        for S in classes:
+            assert listing(term_functions(S, 3)) == listing(per_head_term_functions(S, 3))
+
+    def test_matches_oracle_on_a2_at_arity_3(self):
+        funcs = term_functions(A2, 3)
+        assert len(funcs) == 1614
+        assert listing(funcs) == listing(per_head_term_functions(A2, 3))
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_blocks_of_a_few_heads_keep_the_order(self, monkeypatch, heads):
+        # blocks that end inside a breadth-first level
+        width = 5**3 + 3  # A2 at arity 3: 125 values padded to 128 bytes
+        monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", heads * 3 * width)
+        assert listing(term_functions(A2, 3)) == listing(per_head_term_functions(A2, 3))
+
+    def test_constant_hash_changes_nothing(self, constant_hash, semigroups_le3):
+        for S in semigroups_le3[::5] + [A2]:
+            for k in (1, 2, 3):
+                expected = listing(per_head_term_functions(S, k))
+                # a missed duplicate would overrun the budget instead of growing on
+                assert listing(term_functions(S, k, budget=len(expected))) == expected
+
+    def test_budget_edge(self):
+        size = len(term_functions(A2, 3))
+        assert len(term_functions(A2, 3, budget=size)) == size
+        with pytest.raises(BudgetExceeded) as exc:
+            term_functions(A2, 3, budget=size - 1)
+        assert exc.value.size == size
+
+    def test_sequence_access(self):
+        funcs = term_functions(Z3, 2)
+        listed = list(funcs)
+        assert listing(funcs[i] for i in range(len(funcs))) == listing(listed)
+        assert listing([funcs[-1]]) == listing(listed[-1:])
+        assert listing(funcs[1:4]) == listing(listed[1:4])
+        with pytest.raises(IndexError):
+            funcs[len(funcs)]
+
+    def test_rows_are_zero_padded_values(self):
+        funcs = term_functions(Z3, 2)
+        assert funcs.rows.shape == (len(funcs), 16)
+        assert not funcs.rows[:, 9:].any()
+        assert [r[:9].tobytes() for r in funcs.rows] == [f.values for f in funcs]
