@@ -7,11 +7,18 @@ fourth is forced (or the branch fails).  The search branches on the
 first unknown cell in row-major order with values in ascending order, so
 the raw stream is in lexicographic order of the flat table.
 
+The reduced modes generate orderly, in the sense of Read and Faradzev:
+a table is kept when no relabeling (and, up to anti-isomorphism, no
+relabeled transpose) is lexicographically smaller.  The search compares
+each relabeled candidate with every partial table on the cells where
+both are known, and drops the subtree as soon as a candidate is smaller
+there.  Known cells are fixed in every completion, so no canonical table
+is lost, and the test is exact on a full table, so no filter follows.
+
 Canonical forms at these orders are found by direct minimization over
 all relabelings (and optionally the transpose), at most 2 * n!
-candidates.  The reduced enumeration modes do not build that minimum:
-:func:`is_canonical` drops each candidate at its first larger cell and
-stops at the first smaller one.
+candidates.  :func:`is_canonical` tests a single table without building
+that minimum: it stops at the first smaller candidate.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ from pathlib import Path
 from typing import Iterator
 
 from .semigroups import Semigroup, TableError
+
+# Bound once at import, so that rebinding ``Semigroup`` in this module (as
+# perfbench/tracer.py does) leaves the trusted path in place.
+_trusted = Semigroup._trusted
 
 __all__ = [
     "MODES",
@@ -123,8 +134,35 @@ def canonicalize(S: Semigroup, mode: str) -> CanonicalForm:
     return CanonicalForm(canonical_table(S.table, mode), mode)
 
 
-def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All associative n x n tables, in lexicographic order of the flat table.
+def _relabelings(n: int, mode: str) -> list[tuple[list[int], list[int], int]]:
+    """The start state ``(src, lab, 0)`` of each relabeling the search tests.
+
+    For the relabeling sigma of a view (the table, or its transpose in
+    ``up_to_iso_and_anti`` mode), cell q of the candidate is read from
+    cell ``src[q]`` of the table and renamed by ``lab``, the inverse of
+    sigma, as in :func:`is_canonical`.  The third entry is the first cell
+    not yet known to tie.  The identity of the table itself is left out:
+    its candidate is the table.  ``raw`` mode has none.
+    """
+    states = []
+    views = {"raw": (), "up_to_iso": (False,), "up_to_iso_and_anti": (False, True)}[mode]
+    for transposed in views:
+        for sigma in permutations(range(n)):
+            if not transposed and sigma == tuple(range(n)):
+                continue
+            lab = [0] * n
+            for a, s in enumerate(sigma):
+                lab[s] = a
+            if transposed:
+                src = [sigma[j] * n + sigma[i] for i in range(n) for j in range(n)]
+            else:
+                src = [sigma[i] * n + sigma[j] for i in range(n) for j in range(n)]
+            states.append((src, lab, 0))
+    return states
+
+
+def _assoc_tables(n: int, mode: str = "raw") -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The associative n x n tables, in lexicographic order of the flat table.
 
     A depth-first search over a flat table ``t`` (``-1`` marks an unknown
     cell).  It branches on the first unknown cell in row-major order, values
@@ -132,6 +170,10 @@ def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     trail, and the trail past the branch point doubles as the work queue of
     ``propagate``, which forces cells until nothing changes or a triple
     fails.  Backtracking undoes the trail back to the branch point.
+
+    In the reduced modes ``refine`` prunes a node once its known cells
+    show that no completion is canonical.  It is exact on a full table, so
+    the stream is the canonical tables of the raw stream, in its order.
     """
     size = n * n
     t = [-1] * size
@@ -140,6 +182,7 @@ def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     elements = range(n)
     row_of = [p // n for p in range(size)]
     col_of = [p % n for p in range(size)]
+    prune = mode != "raw"
 
     def equate(p: int, q: int) -> bool:
         """Make cells p and q equal if one is known; False if both differ."""
@@ -181,7 +224,43 @@ def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
                     return False
         return True
 
-    stack: list[list[int]] = []  # [branch cell, trail mark, next value]
+    def refine(waiting, mark):
+        """The relabelings still undecided at this node, or None to prune it.
+
+        ``waiting[w]`` chains, as nested ``(state, rest)`` pairs, the
+        relabelings stopped at unknown cell ``w``.  Only those stopped at a
+        cell that became known since ``mark`` are compared again, each with
+        ``t`` in row-major order from its first untied cell, while both
+        cells compared are known.  Known cells stay fixed below the node,
+        so a candidate smaller there is smaller in every completion
+        (prune), one larger there is larger in every completion (drop it),
+        and a tie is never compared again.
+        """
+        waiting = waiting[:]
+        for i in range(mark, len(trail)):
+            p = trail[i]
+            chain = waiting[p]
+            while chain is not None:
+                (src, lab, q), chain = chain
+                while q < size:
+                    s = src[q]
+                    a, v = t[q], t[s]
+                    if a < 0 or v < 0:
+                        w = q if a < 0 else s
+                        waiting[w] = ((src, lab, q), waiting[w])
+                        break
+                    c = lab[v]
+                    if c != a:
+                        if c < a:
+                            return None
+                        break  # larger: dropped
+                    q += 1
+        return waiting
+
+    live = [None] * size  # at the root every relabeling waits on cell 0
+    for state in _relabelings(n, mode):
+        live[0] = (state, live[0])
+    stack: list[list] = []  # [branch cell, trail mark, next value, waiting]
     pos = 0
     while True:
         while pos < size and t[pos] >= 0:
@@ -189,10 +268,10 @@ def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if pos == size:
             yield tuple(tuple(t[r * n : (r + 1) * n]) for r in elements)
         else:
-            stack.append([pos, len(trail), 0])
+            stack.append([pos, len(trail), 0, live])
         while stack:
             frame = stack[-1]
-            pos, mark, v = frame
+            pos, mark, v, waiting = frame
             while len(trail) > mark:
                 p = trail.pop()
                 where[t[p]].pop()
@@ -205,7 +284,11 @@ def _assoc_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             trail.append(pos)
             where[v].append(pos)
             if propagate(mark):
-                break
+                if not prune:
+                    break
+                live = refine(waiting, mark)
+                if live is not None:
+                    break
         else:
             return  # every branch is exhausted
 
@@ -227,12 +310,7 @@ def enumerate_tables(order: int, mode: str = "raw", allow_large: bool = False) -
             f"order {order} exceeds the soft limit {SOFT_ORDER_LIMIT}; pass allow_large to proceed"
         )
 
-    def generate():
-        for table in _assoc_tables(order):
-            if is_canonical(table, mode):
-                yield Semigroup(table)
-
-    return generate()
+    return map(_trusted, _assoc_tables(order, mode))
 
 
 class CorpusError(ValueError):

@@ -87,6 +87,19 @@ class Semigroup:
         self.table = rows
         self.order = n
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> Semigroup:
+        """A semigroup on ``rows`` without validation.
+
+        Only for tables already known to be valid and associative, given
+        as a tuple of tuples of ints: the enumerator's output, or the
+        table of a validated instance.
+        """
+        S = cls.__new__(cls)
+        S.table = rows
+        S.order = len(rows)
+        return S
+
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from eqdomain.cli import main
+from eqdomain import DEFAULT_BUDGET, enumerate_tables
+from eqdomain.cli import _map_tables, main
 from support import LEFT_ZERO, MIN2, Z2
 
 
@@ -113,6 +114,24 @@ class TestVerifyTheorem:
         assert code == 0
         assert json.loads(out.splitlines()[-1])["tables_checked"] == 5
 
+    def test_map_tables_reads_a_stream_in_order(self):
+        pulled = 0
+
+        def tables():
+            nonlocal pulled
+            for S in enumerate_tables(3):
+                pulled += 1
+                yield S.table
+
+        results = _map_tables(tables(), DEFAULT_BUDGET, 2, 4)
+        first = next(results)
+        # at most jobs + 1 chunks of 4 are out before the first result
+        assert pulled <= 12
+        rest = list(results)
+        assert pulled == 113
+        serial = _map_tables((S.table for S in enumerate_tables(3)), DEFAULT_BUDGET, 1, 4)
+        assert [first, *rest] == list(serial)
+
 
 class TestEnumerate:
     def test_json_lines(self, capsys):
@@ -146,6 +165,15 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--order", "3", "--mode", "iso-anti")
         assert code == 0
         assert len(out.splitlines()) == 18
+
+    @pytest.mark.parametrize("mode, count", [("iso-anti", 15_973), ("iso", 28_634)])
+    def test_order6_frozen_counts(self, capsys, mode, count):
+        # OEIS A001423 and A027851 at order 6
+        code, out, _ = run(capsys, "enumerate", "--order", "6", "--mode", mode, "--allow-large")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == count
+        assert lines == sorted(set(lines), key=lambda line: json.loads(line)["table"])
 
     def test_reader_closing_early_is_not_a_traceback(self):
         # the order-4 stream is far larger than a pipe buffer, so the writer

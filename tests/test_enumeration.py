@@ -13,12 +13,12 @@ from eqdomain import (
     parse_corpus,
     read_corpus,
 )
-from eqdomain.enumeration import canonical_table, is_canonical
+from eqdomain.enumeration import MODES, _assoc_tables, canonical_table, is_canonical
 from support import LEFT_ZERO, RIGHT_ZERO, Z2, brute_force_assoc_tables, cell_scan_assoc_tables
 
-RAW_COUNTS = {1: 1, 2: 8, 3: 113}
-ISO_COUNTS = {2: 5, 3: 24}
-ANTI_COUNTS = {2: 4, 3: 18}
+RAW_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3_492}
+ISO_COUNTS = {2: 5, 3: 24, 4: 188}
+ANTI_COUNTS = {2: 4, 3: 18, 4: 126}
 # OEIS A023814, A027851 and A001423 at order 5
 ORDER5_COUNTS = {"raw": 183_732, "up_to_iso": 1_915, "up_to_iso_and_anti": 1_160}
 REDUCED = ("up_to_iso", "up_to_iso_and_anti")
@@ -26,14 +26,19 @@ REDUCED = ("up_to_iso", "up_to_iso_and_anti")
 
 @pytest.fixture(scope="module")
 def order5_raw():
-    """The length of the raw order-5 stream and 2,000 seeded tables from it."""
+    """The raw order-5 stream, read once: its length, 2,000 seeded tables
+    from it, and its tables that pass ``is_canonical`` in each reduced mode."""
     picks = set(random.Random(5).sample(range(ORDER5_COUNTS["raw"]), 2000))
     count, sample = 0, []
+    canonical = {mode: [] for mode in REDUCED}
     for i, S in enumerate(enumerate_tables(5)):
         count += 1
         if i in picks:
             sample.append(S.table)
-    return count, sample
+        for mode in REDUCED:
+            if is_canonical(S.table, mode):
+                canonical[mode].append(S.table)
+    return count, sample, canonical
 
 
 class TestEnumerate:
@@ -73,6 +78,25 @@ class TestEnumerate:
     def test_order5_reduced_counts(self, mode):
         assert sum(1 for _ in enumerate_tables(5, mode)) == ORDER5_COUNTS[mode]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", REDUCED)
+    def test_pruned_stream_matches_filtered_oracle(self, mode, n):
+        # content and order: the canonical tables of the cell-scan raw stream
+        expected = [t for t in cell_scan_assoc_tables(n) if is_canonical(t, mode)]
+        assert [S.table for S in enumerate_tables(n, mode)] == expected
+
+    @pytest.mark.parametrize("mode", REDUCED)
+    def test_order5_pruned_stream_matches_filtered_raw(self, mode, order5_raw):
+        expected = order5_raw[2][mode]
+        assert len(expected) == ORDER5_COUNTS[mode]
+        assert [S.table for S in enumerate_tables(5, mode)] == expected
+
+    def test_search_prunes_in_reduced_modes_only(self):
+        # the search itself yields the classes, not all 3,492 raw tables
+        assert sum(1 for _ in _assoc_tables(4)) == RAW_COUNTS[4]
+        assert sum(1 for _ in _assoc_tables(4, "up_to_iso")) == ISO_COUNTS[4]
+        assert sum(1 for _ in _assoc_tables(4, "up_to_iso_and_anti")) == ANTI_COUNTS[4]
+
     def test_deterministic_order(self):
         assert [S.table for S in enumerate_tables(2)] == [
             S.table for S in enumerate_tables(2)
@@ -85,6 +109,23 @@ class TestEnumerate:
             enumerate_tables(2, "bogus")
         with pytest.raises(ValueError):
             enumerate_tables(6)
+
+
+class TestTrustedTables:
+    """Enumerated tables skip validation; the validating constructor agrees."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_orders_up_to_4(self, mode):
+        for n in (1, 2, 3, 4):
+            for S in enumerate_tables(n, mode):
+                assert S.order == n
+                assert Semigroup(S.table).table == S.table
+
+    def test_order5_sample(self, order5_raw):
+        sample = order5_raw[1]
+        assert len(sample) == 2000
+        for table in sample:
+            assert Semigroup(table).table == table
 
 
 class TestCanonicalize:
