@@ -43,6 +43,7 @@ from .terms import (
     encode_point,
     eval_term,
     exponent_vector,
+    format_word,
     parse_equation,
     parse_equations,
     parse_term,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 stdout closed early by its reader, 2 invalid input
 (bad table, parse error, bad flags), 3 internal inconsistency (a failed
-witness, an unverified identity, or an exceeded closure budget).
+witness, an unverified identity, an exceeded closure budget, or an
+unexpected error while checking a table).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import sys
 from collections import deque
 from itertools import chain, islice
-from multiprocessing import Pool
 from pathlib import Path
 
 from .enumeration import (
@@ -25,7 +25,14 @@ from .enumeration import (
 )
 from .geometry import PointSet, algebraic_closure, solution_set, union_target_m3, union_target_m4
 from .semigroups import Semigroup, TableError
-from .terms import DEFAULT_BUDGET, BudgetExceeded, TermSyntaxError, parse_equations, term_functions
+from .terms import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    TermSyntaxError,
+    format_word,
+    parse_equations,
+    term_functions,
+)
 from .witnesses import WitnessNotFound, check_semigroup
 
 EXIT_OK = 0
@@ -69,26 +76,27 @@ def _json_doc(obj) -> str:
 
 
 def _check_table(args):
+    """The result record of one table.
+
+    An unexpected exception becomes an ``error`` record that names it and
+    the line that raised it, so one failing table does not end the run.
+    """
     # rows come from read_corpus or enumerate_tables, both already validated
     rows, budget = args
-    S = _trusted(rows)
     try:
-        report = check_semigroup(S, budget=budget)
+        report = check_semigroup(_trusted(rows), budget=budget)
+        return {"status": "ok", "report": report.to_jsonable()}
     except BudgetExceeded as e:
-        return {
-            "status": "budget_exceeded",
-            "order": S.order,
-            "table": [list(r) for r in rows],
-            "size": e.size,
-        }
+        detail = {"status": "budget_exceeded", "size": e.size}
     except WitnessNotFound as e:
-        return {
-            "status": "inconsistent",
-            "order": S.order,
-            "table": [list(r) for r in rows],
-            "error": str(e),
-        }
-    return {"status": "ok", "report": report.to_jsonable()}
+        detail = {"status": "inconsistent", "error": str(e)}
+    except Exception as e:
+        import traceback
+
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        place = f"{Path(where.filename).name}:{where.lineno} in {where.name}"
+        detail = {"status": "error", "error": f"{type(e).__name__}: {e} ({place})"}
+    return {"order": len(rows), "table": [list(r) for r in rows], **detail}
 
 
 def _check_tables(args):
@@ -107,6 +115,8 @@ def _map_tables(tables, budget: int, jobs: int, chunk: int):
     if jobs <= 1:
         yield from map(_check_table, args)
         return
+    from multiprocessing import Pool
+
     with Pool(jobs) as pool:
         pending = deque()
         while block := list(islice(args, chunk)):
@@ -143,7 +153,7 @@ def _render_result_text(result: dict) -> str:
             f"order {result['order']}  table {result['table']}\n"
             f"  closure budget exceeded at size {result['size']}"
         )
-    return f"order {result['order']}  table {result['table']}\n  INCONSISTENT: {result['error']}"
+    return f"order {result['order']}  table {result['table']}\n  {result['status'].upper()}: {result['error']}"
 
 
 def cmd_check(ns) -> int:
@@ -373,7 +383,7 @@ def cmd_term_functions(ns) -> int:
         "order": S.order,
         "arity": ns.arity,
         "count": len(funcs),
-        "witnesses": [str(f.witness) for f in funcs],
+        "witnesses": [format_word(w) for w in funcs.words()],
     }
     if ns.format == "json":
         print(_json_doc(out))

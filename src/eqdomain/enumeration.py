@@ -342,7 +342,7 @@ def _blocks(text: str):
 def _parse_block(block, table_index: int):
     lineno, header = block[0]
     parts = header.split()
-    if len(parts) != 1 or not parts[0].isdigit():
+    if len(parts) != 1 or not parts[0].isdecimal():
         raise CorpusError(
             f"line {lineno}: expected the table order on its own line, found {header.strip()!r}",
             line=lineno,
@@ -358,7 +358,7 @@ def _parse_block(block, table_index: int):
     rows = []
     for row_line, raw in block[1:]:
         entries = raw.split()
-        if len(entries) != n or not all(e.lstrip("-").isdigit() for e in entries):
+        if len(entries) != n or not all(e.removeprefix("-").isdecimal() for e in entries):
             raise CorpusError(
                 f"line {row_line}: expected {n} integers, found {raw.strip()!r}",
                 line=row_line,

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .semigroups import Semigroup
 from .terms import (
@@ -30,6 +29,9 @@ from .terms import (
     encode_point,
     term_functions,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "POINT_ENCODING",
@@ -91,10 +93,14 @@ class PointSet:
 
     @classmethod
     def _from_bool(cls, flags: np.ndarray, n: int, k: int) -> "PointSet":
+        import numpy as np
+
         packed = np.packbits(flags, bitorder="little")
         return cls(n, k, int.from_bytes(packed.tobytes(), "little"))
 
     def _bool_array(self) -> np.ndarray:
+        import numpy as np
+
         size = self.n**self.k
         packed = np.frombuffer(self.mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(packed, count=size, bitorder="little").astype(bool)
@@ -211,7 +217,11 @@ class PointSet:
         if "bitmap" in obj:
             if not isinstance(obj["bitmap"], str):
                 raise ValueError("'bitmap' must be a hex string")
-            return cls(n, k, int(obj["bitmap"], 16))
+            try:
+                mask = int(obj["bitmap"], 16)
+            except ValueError:
+                raise ValueError(f"'bitmap' is not a hex number: {obj['bitmap']!r}") from None
+            return cls(n, k, mask)
         if "points" in obj:
             if not isinstance(obj["points"], list):
                 raise ValueError("'points' must be a list of points")
@@ -228,6 +238,8 @@ def _term_values(S: Semigroup, term, grid_u8, table_u8) -> np.ndarray:
 
 def solution_set(S: Semigroup, obj: Equation | System) -> PointSet:
     """All points satisfying the equation, or every equation of the system."""
+    import numpy as np
+
     if isinstance(obj, Equation):
         equations = (obj,)
         k = obj.arity
@@ -316,6 +328,8 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     restriction and confirmed by comparing restrictions; the first member
     of a group, in discovery order, is its representative.
     """
+    import numpy as np
+
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
     funcs = term_functions(S, Y.k, budget=budget)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TableError",
@@ -113,6 +115,8 @@ class Semigroup:
         return v
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         arr = np.array(self.table, dtype=np.intp)
         arr.setflags(write=False)
         return arr

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .semigroups import Semigroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_EXPONENT",
@@ -23,6 +25,7 @@ __all__ = [
     "VariableOutOfRange",
     "EmptyTermError",
     "BudgetExceeded",
+    "format_word",
     "Term",
     "Equation",
     "System",
@@ -74,6 +77,25 @@ class BudgetExceeded(RuntimeError):
         self.size = size
 
 
+def format_word(word: tuple[int, ...]) -> str:
+    """The text of a word of 0-based variable indices, such as ``x1 x2^2``.
+
+    Each run of one variable is written with an exponent; runs longer than
+    the parser's exponent bound are split, so the text parses back.
+    """
+    parts = []
+    start, end = 0, len(word)
+    for j in range(1, end + 1):
+        if j == end or word[j] != word[start]:
+            name, run = f"x{word[start] + 1}", j - start
+            while run > MAX_EXPONENT:
+                parts.append(f"{name}^{MAX_EXPONENT}")
+                run -= MAX_EXPONENT
+            parts.append(f"{name}^{run}" if run > 1 else name)
+            start = j
+    return " ".join(parts)
+
+
 @dataclass(frozen=True)
 class Term:
     """A nonempty product of variables, stored as 0-based variable indices."""
@@ -91,20 +113,7 @@ class Term:
                 raise VariableOutOfRange(f"x{v + 1}", self.arity)
 
     def __str__(self):
-        parts = []
-        i, w = 0, self.word
-        while i < len(w):
-            j = i
-            while j < len(w) and w[j] == w[i]:
-                j += 1
-            run = j - i
-            # split runs longer than the parser's exponent bound
-            while run > 0:
-                chunk = min(run, MAX_EXPONENT)
-                parts.append(f"x{w[i] + 1}" + (f"^{chunk}" if chunk > 1 else ""))
-                run -= chunk
-            i = j
-        return " ".join(parts)
+        return format_word(self.word)
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,7 @@ def parse_term(text: str, arity: int) -> Term:
         if ch != "x":
             raise TermSyntaxError(f"expected a variable, found {ch!r}", i)
         j = i + 1
-        while j < n and text[j].isdigit():
+        while j < n and text[j].isdecimal():
             j += 1
         if j == i + 1:
             raise TermSyntaxError("expected a variable number after 'x'", i + 1)
@@ -179,7 +188,7 @@ def parse_term(text: str, arity: int) -> Term:
             while i < n and text[i].isspace():
                 i += 1
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i:
                 raise TermSyntaxError("expected an exponent after '^'", i)
@@ -246,6 +255,8 @@ def all_points(n: int, k: int):
 
 def coordinate_grid(n: int, k: int) -> np.ndarray:
     """Shape (k, n**k) array: row i holds coordinate i of every encoded point."""
+    import numpy as np
+
     return np.indices((n,) * k).reshape(k, n**k)
 
 
@@ -312,6 +323,8 @@ def _row_hashes(rows: np.ndarray) -> np.ndarray:
     collide.  An equal hash is only a hint; callers confirm it by comparing
     the rows.
     """
+    import numpy as np
+
     words = rows.view(np.uint64)
     keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
@@ -333,6 +346,8 @@ def _first_equal(hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Rows are grouped by hash and each member is compared with its group's
     first row; see :func:`_regroup` for a hash that different rows share.
     """
+    import numpy as np
+
     _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
     rep = first[inverse]
     others = np.flatnonzero(rep != np.arange(len(rep)))
@@ -348,6 +363,8 @@ def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
 
     ``rows_of(idx)`` gives the rows at the indices ``idx``.
     """
+    import numpy as np
+
     for h in np.unique(hashes[split]):
         members = np.flatnonzero(hashes == h)
         seen: dict[bytes, int] = {}
@@ -366,16 +383,22 @@ class _HashIndex:
     """
 
     def __init__(self):
+        import numpy as np
+
         self.bits = 10
         self.keys = np.zeros(1 << self.bits, dtype=np.uint64)
         self.rows = np.full(1 << self.bits, -1, dtype=np.intp)  # -1: an empty slot
         self.size = 0
 
     def _slots(self, keys: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return (keys >> np.uint64(64 - self.bits)).astype(np.intp)
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """The row stored under each key, or -1."""
+        import numpy as np
+
         found = np.full(len(keys), -1, dtype=np.intp)
         slot = self._slots(keys)
         todo = np.arange(len(keys))
@@ -389,6 +412,8 @@ class _HashIndex:
 
     def insert(self, keys: np.ndarray, rows: np.ndarray):
         """Store each key with its row."""
+        import numpy as np
+
         if 2 * (self.size + len(keys)) > len(self.rows):
             # rehash everything into a table at most a quarter full
             used = self.rows >= 0
@@ -417,6 +442,8 @@ class _CloneTable:
     """Distinct zero-padded rows in discovery order, with a verified hash index."""
 
     def __init__(self, width: int, budget: int):
+        import numpy as np
+
         self.budget = budget
         self.rows = np.zeros((0, width), dtype=np.uint8)
         self.count = 0
@@ -426,6 +453,8 @@ class _CloneTable:
 
     def _stored(self, rows: np.ndarray, hashes: np.ndarray, which: np.ndarray) -> np.ndarray:
         """Which of the rows at the indices ``which`` are already in the table."""
+        import numpy as np
+
         known = np.zeros(len(which), dtype=bool)
         ref = self.index.find(hashes[which])
         hit = np.flatnonzero(ref >= 0)
@@ -438,6 +467,8 @@ class _CloneTable:
 
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
         """Append the rows not seen before, in order, first occurrence kept."""
+        import numpy as np
+
         hashes = _row_hashes(rows)
         rep = _first_equal(hashes, rows)
         fresh = np.flatnonzero(rep == np.arange(len(rows)))
@@ -465,6 +496,8 @@ def _right_products(heads: np.ndarray, rho: list[bytes], arity: int, npoints: in
     n**(arity-1-i); each run is read as one void item, which keeps the
     strided copies in and out of ``translate`` to one item per run.
     """
+    import numpy as np
+
     count, width = heads.shape
     n = len(rho)
     out = np.empty((count, arity, width), dtype=np.uint8)
@@ -513,10 +546,15 @@ class TermFunctions(Sequence):
         return self._function(i, tuple(reversed(word)))
 
     def __iter__(self):
+        for i, word in enumerate(self.words()):
+            yield self._function(i, word)
+
+    def words(self):
+        """The witness word of each function, in order, read along the parents."""
         words: list[tuple[int, ...]] = []
-        for i, (p, x) in enumerate(zip(self.parent.tolist(), self.letter.tolist())):
+        for p, x in zip(self.parent.tolist(), self.letter.tolist()):
             words.append((words[p] if p >= 0 else ()) + (x,))
-            yield self._function(i, words[i])
+            yield words[-1]
 
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
         values = self.rows[i, : self.order**self.arity].tobytes()
@@ -541,6 +579,8 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     search.  Each function costs its n**arity values, padded to 8 bytes,
     so ``budget`` (a function count) also bounds the memory.
     """
+    import numpy as np
+
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if budget < 1:

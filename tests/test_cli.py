@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import eqdomain.cli as cli
 from eqdomain import DEFAULT_BUDGET, enumerate_tables
 from eqdomain.cli import _map_tables, main
 from support import LEFT_ZERO, MIN2, Z2
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -26,6 +34,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def fails_on(table):
+    """check_semigroup, except that it raises on ``table``."""
+    check = cli.check_semigroup
+
+    def patched(S, budget):
+        if S.table == table:
+            raise RuntimeError("injected failure")
+        return check(S, budget=budget)
+
+    return patched
 
 
 class TestCheck:
@@ -62,6 +87,16 @@ class TestCheck:
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
         assert [doc["lemma"] for doc in lines] == ["1.1", "3"]
+
+    def test_error_is_a_record(self, capsys, table_file, monkeypatch):
+        monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
+        code, out, _ = run(capsys, "check", table_file(MIN2))
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["status"] == "error" and doc["table"] == [[0, 0], [0, 1]]
+        code, out, _ = run(capsys, "check", table_file(MIN2), "--format", "text")
+        assert code == 3
+        assert out.splitlines()[1].startswith("  ERROR: RuntimeError: injected failure")
 
     def test_text_format(self, capsys, table_file):
         code, out, _ = run(capsys, "check", table_file(LEFT_ZERO), "--format", "text")
@@ -108,6 +143,29 @@ class TestVerifyTheorem:
         _, out1, _ = run(capsys, "verify-theorem", "--max-order", "2", "--jobs", "1")
         _, out2, _ = run(capsys, "verify-theorem", "--max-order", "2", "--jobs", "3")
         assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_worker_error_is_a_record(self, capsys, monkeypatch, jobs):
+        # Pool workers fork after the patch, so they raise too
+        monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
+        code, out, _ = run(capsys, "verify-theorem", "--max-order", "3", "--jobs", jobs)
+        assert code == 3
+        *records, summary = map(json.loads, out.splitlines())
+        assert len(records) == 8 + 113
+        errors = [r for r in records if r.get("status") == "error"]
+        assert errors == [
+            {
+                "status": "error",
+                "order": 2,
+                "table": [[0, 0], [0, 1]],
+                "error": errors[0]["error"],
+            }
+        ]
+        assert errors[0]["error"].startswith("RuntimeError: injected failure (test_cli.py:")
+        assert summary["tables_checked"] == 8 + 113
+        assert summary["per_order"]["2"]["inconsistent"] == 1
+        assert summary["per_order"]["3"]["inconsistent"] == 0
+        assert summary["failures"] == 1
 
     def test_reduced_mode(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--max-order", "2", "--mode", "iso")
@@ -178,13 +236,11 @@ class TestEnumerate:
     def test_reader_closing_early_is_not_a_traceback(self):
         # the order-4 stream is far larger than a pipe buffer, so the writer
         # is still printing when the reader goes away
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         with subprocess.Popen(
             [sys.executable, "-m", "eqdomain", "enumerate", "--order", "4"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=src_env(),
         ) as proc:
             first = json.loads(proc.stdout.readline())
             proc.stdout.close()
@@ -288,3 +344,206 @@ class TestTermFunctions:
         code, _, err = run(capsys, "term-functions", table_file(Z2), "--arity", "5")
         assert code == 2
         assert "--allow-large" in err
+
+
+# Runs one CLI command in a fresh interpreter, then reports which of the
+# heavy modules it loaded; this suite's own imports load numpy already.
+PROBE = """
+import contextlib, io, json, sys
+from eqdomain.cli import main
+argv = json.loads(sys.argv[1])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(argv) if argv else 0
+loaded = [m for m in ("numpy", "multiprocessing") if m in sys.modules]
+print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
+"""
+
+
+def probe(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    def test_module_entry_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "eqdomain", "enumerate", "--order", "3"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 113
+        imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+        assert "eqdomain.cli" in imported
+        assert not {"numpy", "multiprocessing"} & imported
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            ((), 0),  # import eqdomain.cli, and with it the package
+            (("enumerate", "--order", "4", "--mode", "iso"), 188),
+            (("verify-theorem", "--max-order", "3", "--jobs", "1"), 8 + 113 + 1),
+        ],
+    )
+    def test_stream_commands_load_no_numpy(self, argv, lines):
+        result = probe(*argv)
+        assert result["code"] == 0
+        assert len(result["out"].splitlines()) == lines
+        assert result["loaded"] == []
+
+    def test_check_loads_no_numpy(self, table_file):
+        result = probe("check", table_file(LEFT_ZERO))
+        assert result["code"] == 0
+        assert json.loads(result["out"])["separating_point"] == [0, 1, 1]
+        assert result["loaded"] == []
+
+    def test_pool_loads_multiprocessing_only(self):
+        result = probe("verify-theorem", "--max-order", "3", "--jobs", "2")
+        assert result["code"] == 0
+        assert result["out"] == probe("verify-theorem", "--max-order", "3", "--jobs", "1")["out"]
+        assert result["loaded"] == ["multiprocessing"]
+
+    def test_closure_loads_numpy(self, table_file):
+        result = probe("closure", table_file(LEFT_ZERO), "--set", "m3", "--format", "text")
+        assert result["code"] == 0
+        assert result["out"] == (
+            "order 2  arity 3  set m3\n"
+            "input size 6, closure size 8\n"
+            "closure points: (0, 0, 0) (0, 0, 1) (0, 1, 0) (0, 1, 1) (1, 0, 0) (1, 0, 1) (1, 1, 0) (1, 1, 1)\n"
+            "algebraic: no\n"
+            "separating point: (0, 1, 1)\n"
+        )
+        assert "numpy" in result["loaded"]
+
+    def test_term_functions_loads_numpy(self, table_file):
+        result = probe("term-functions", table_file(Z2), "--arity", "2", "--format", "text")
+        assert result["code"] == 0
+        assert result["out"] == (
+            "order 2  arity 2  distinct term functions: 4\n  x1\n  x2\n  x1^2\n  x1 x2\n"
+        )
+        assert "numpy" in result["loaded"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    table = path / "table.txt"
+    table.write_text("2\n0 0\n0 1\n")  # the two-element semilattice
+    return path
+
+
+def run_quietly(*argv):
+    """main(argv) with stdout and stderr captured and corpus warnings dropped."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    # an exception escaping main would be a traceback at the command line
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ")
+        assert "invalid literal" not in err  # int()'s message, not the parser's
+    assert "Traceback" not in err
+
+
+# corpus text: blocks of small, mostly well-formed tables, some associative
+corpus_blocks = st.integers(0, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-1, n), min_size=n, max_size=n).map(lambda r: " ".join(map(str, r))),
+        min_size=n,
+        max_size=n,
+    ).map(lambda rows: "\n".join([str(n), *rows]))
+)
+corpus_texts = st.lists(corpus_blocks, min_size=1, max_size=3).map("\n\n".join)
+
+# equations at arity 2, one per line, with some bad variables and exponents
+factors = st.tuples(
+    st.sampled_from(["x1", "x2", "x3", "x", "y"]), st.sampled_from(["", "^2", "^0", "^65", "^"])
+)
+term_texts = st.lists(factors, max_size=4).map(lambda fs: " ".join(v + e for v, e in fs))
+equation_texts = st.lists(
+    st.tuples(term_texts, term_texts).map(" = ".join), min_size=1, max_size=3
+).map("\n".join)
+
+json_keys = st.sampled_from(["n", "k", "points", "bitmap", "encoding"]) | st.text(max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=5),
+    max_leaves=12,
+)
+# point sets over the table's order 2: well-formed ones, then any mix of fields
+point_sets = st.integers(1, 4).flatmap(
+    lambda k: st.fixed_dictionaries(
+        {
+            "k": st.just(k),
+            "points": st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), max_size=6),
+        },
+        optional={"n": st.just(2), "encoding": st.just("big-endian")},
+    )
+) | st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.integers(0, 3) | json_values,
+        "k": st.integers(0, 5) | json_values,
+        "points": st.lists(st.lists(st.integers(-1, 2), max_size=4), max_size=4) | json_values,
+        "bitmap": st.text("0123456789abcdefxX_- ", max_size=6) | json_values,
+        "encoding": st.sampled_from(["big-endian", "little-endian"]) | json_values,
+    },
+)
+
+
+class TestParserFuzz:
+    """Random input to each parser: exit 0, or exit 2 with an error line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text() | corpus_texts)
+    @example("2\n0 0\n0 1\n")
+    @example("1\n²\n")
+    @example("2\n0 --1\n0 0\n")
+    def test_corpus_file(self, fuzz_dir, text):
+        path = fuzz_dir / "corpus.txt"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        code, _, err = run_quietly("check", str(path))
+        assert_clean_exit(code, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text() | equation_texts)
+    @example("x1 x2 = x2 x1\n")
+    @example("x² = x1")
+    @example("x1^³ = x1")
+    def test_equations_file(self, fuzz_dir, text):
+        try:
+            json.loads(text)
+            return  # a JSON file takes the point-set branch
+        except ValueError:
+            pass
+        path = fuzz_dir / "system.eqs"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        table = str(fuzz_dir / "table.txt")
+        code, _, err = run_quietly("closure", table, "--set", f"@{path}", "--arity", "2")
+        assert_clean_exit(code, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets | json_values)
+    @example({"n": 2, "k": 2, "points": [[0, 0], [1, 1]]})
+    @example({"n": 2, "k": 3, "bitmap": "0x81"})
+    @example({"n": 2, "k": 2, "bitmap": "zz"})
+    def test_point_set_file(self, fuzz_dir, obj):
+        path = fuzz_dir / "points.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_quietly("closure", str(fuzz_dir / "table.txt"), "--set", f"@{path}")
+        assert_clean_exit(code, err)

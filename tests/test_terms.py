@@ -25,6 +25,7 @@ from eqdomain import (
     term_functions,
 )
 from eqdomain import monogenic_table
+from eqdomain.terms import format_word
 from support import A2, LEFT_ZERO, MIN2, Z2, Z3, per_head_term_functions, raw_word_vectors
 
 words = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
@@ -273,6 +274,12 @@ class TestBlockEngine:
         funcs = term_functions(A2, 3)
         assert len(funcs) == 1614
         assert listing(funcs) == listing(per_head_term_functions(A2, 3))
+
+    def test_words_are_the_witness_words(self):
+        funcs = term_functions(A2, 3)
+        witnesses = [f.witness for f in per_head_term_functions(A2, 3)]
+        assert list(funcs.words()) == [t.word for t in witnesses]
+        assert [format_word(w) for w in funcs.words()] == [str(t) for t in witnesses]
 
     @pytest.mark.parametrize("heads", [1, 3])
     def test_blocks_of_a_few_heads_keep_the_order(self, monkeypatch, heads):
