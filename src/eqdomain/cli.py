@@ -29,7 +29,6 @@ from .terms import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     TermSyntaxError,
-    format_word,
     parse_equations,
     term_functions,
 )
@@ -383,7 +382,7 @@ def cmd_term_functions(ns) -> int:
         "order": S.order,
         "arity": ns.arity,
         "count": len(funcs),
-        "witnesses": [format_word(w) for w in funcs.words()],
+        "witnesses": list(funcs.texts()),
     }
     if ns.format == "json":
         print(_json_doc(out))

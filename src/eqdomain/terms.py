@@ -9,6 +9,7 @@ the closure of the coordinate projections under the pointwise product.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -410,6 +411,16 @@ class _HashIndex:
             slot[todo] = (slot[todo] + 1) & (len(self.rows) - 1)
         return found
 
+    def rows_of(self, key) -> list[int]:
+        """Every row stored under one key, read along its probe chain."""
+        out = []
+        slot = int(self._slots(key))
+        while self.rows[slot] >= 0:
+            if self.keys[slot] == key:
+                out.append(int(self.rows[slot]))
+            slot = (slot + 1) & (len(self.rows) - 1)
+        return out
+
     def insert(self, keys: np.ndarray, rows: np.ndarray):
         """Store each key with its row."""
         import numpy as np
@@ -461,8 +472,9 @@ class _CloneTable:
         stored = self.rows[ref[hit]].view(np.uint64)
         known[hit] = (stored == rows[which[hit]].view(np.uint64)).all(axis=1)
         for j in hit[~known[hit]]:
-            # a hash collision: compare with every stored row
-            known[j] = (self.rows == rows[which[j]]).all(axis=1).any()
+            # a hash collision: compare with the other stored rows of this hash
+            same = self.rows[self.index.rows_of(hashes[which[j]])]
+            known[j] = (same == rows[which[j]]).all(axis=1).any()
         return known
 
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
@@ -487,29 +499,76 @@ class _CloneTable:
         self.count = end
 
 
-def _right_products(heads: np.ndarray, rho: list[bytes], arity: int, npoints: int) -> np.ndarray:
+class _ProductCodes:
+    """The byte codes of :func:`_right_products` for one table and arity.
+
+    A cell whose head value is v, at a point whose coordinate i is y, is
+    coded as the byte ``v + n*(y - y0)``, where y0 starts a group of
+    ``256 // n`` consecutive values of y; ``tables[g]`` maps the codes of
+    group g to the products v*y.  With n <= 16 one group holds every y and
+    ``offsets[i]`` is n times coordinate i of each point, zero on the pad,
+    so one add codes a whole block.  Otherwise ``offsets`` is the column
+    ``n*(y - y0)`` over a group.
+    """
+
+    def __init__(self, table: np.ndarray, arity: int, width: int):
+        import numpy as np
+
+        n = len(table)
+        self.order, self.arity, self.npoints = n, arity, n**arity
+        self.size = 256 // n
+        self.tables = []
+        for y0 in range(0, n, self.size):
+            ys = np.arange(y0, min(y0 + self.size, n))
+            products = np.zeros(256, dtype=np.uint8)
+            products[np.arange(n)[:, None] + n * (ys - y0)] = table[:, ys]
+            self.tables.append(products.tobytes())
+        if len(self.tables) == 1:
+            self.offsets = np.zeros((arity, width), dtype=np.uint8)
+            self.offsets[:, : self.npoints] = n * coordinate_grid(n, arity)
+        else:
+            self.offsets = (n * np.arange(self.size, dtype=np.uint8))[:, None]
+
+
+def _translated(cells: np.ndarray, offsets: np.ndarray, table: bytes) -> np.ndarray:
+    """``cells + offsets`` in the broadcast shape, mapped byte for byte by ``table``."""
+    import numpy as np
+
+    shape = np.broadcast_shapes(cells.shape, offsets.shape)
+    buffer = bytearray(math.prod(shape))
+    np.add(cells, offsets, out=np.frombuffer(buffer, dtype=np.uint8).reshape(shape))
+    return np.frombuffer(buffer.translate(table), dtype=np.uint8).reshape(shape)
+
+
+def _right_products(heads: np.ndarray, codes: _ProductCodes) -> np.ndarray:
     """Row ``b * arity + i``: row b of ``heads`` times x_{i+1}, pointwise.
 
-    On the points whose coordinate i is y, the product is the byte map
-    ``rho[y]`` (x -> x*y) applied with ``bytes.translate``.  Coordinate i is
-    digit i of the big-endian point index, so those points come in runs of
-    n**(arity-1-i); each run is read as one void item, which keeps the
-    strided copies in and out of ``translate`` to one item per run.
+    Each cell is coded as a byte that names both factors (see
+    :class:`_ProductCodes`), and one ``bytearray.translate`` turns the codes
+    into products.  With n <= 16 that is one broadcast add and one
+    translate for the whole block, after which the pad is zeroed again.
+    With more elements, coordinate i is digit i of the big-endian point
+    index, so the points whose coordinate i lies in one group of values
+    form a slab of a 4-d view, coded and translated a group at a time.
     """
     import numpy as np
 
     count, width = heads.shape
-    n = len(rho)
+    n, arity, npoints = codes.order, codes.arity, codes.npoints
+    if len(codes.tables) == 1:
+        out = _translated(heads[:, None, :], codes.offsets, codes.tables[0])
+        out[:, :, npoints:] = 0
+        return out.reshape(count * arity, width)
     out = np.empty((count, arity, width), dtype=np.uint8)
     out[:, :, npoints:] = 0
     for i in range(arity):
-        shape = (count, -1, n, n ** (arity - 1 - i))  # (head, higher digits, y, run)
-        run = f"V{shape[-1]}"
-        src = heads[:, :npoints].reshape(shape).view(run)[..., 0]
-        dst = out[:, i, :npoints].reshape(shape).view(run)[..., 0]
-        for y in range(n):
-            moved = src[:, :, y].tobytes().translate(rho[y])
-            dst[:, :, y] = np.frombuffer(moved, dtype=run).reshape(count, -1)
+        view = (count, n**i, n, n ** (arity - 1 - i))  # (head, higher digits, y, run)
+        src = heads[:, :npoints].reshape(view)
+        dst = out[:, i, :npoints].reshape(view)
+        for g, y0 in enumerate(range(0, n, codes.size)):
+            ys = slice(y0, min(y0 + codes.size, n))
+            offsets = codes.offsets[: ys.stop - y0]
+            dst[:, :, ys] = _translated(src[:, :, ys], offsets, codes.tables[g])
     return out.reshape(count * arity, width)
 
 
@@ -556,6 +615,30 @@ class TermFunctions(Sequence):
             words.append((words[p] if p >= 0 else ()) + (x,))
             yield words[-1]
 
+    def texts(self):
+        """The witness text of each function, in order, as :func:`format_word`
+        writes it.
+
+        A function's text is its parent's text with the last factor's
+        exponent raised by one, or with a factor appended; a factor's
+        exponent stops at MAX_EXPONENT.  Each text is kept as its head (all
+        but the last factor) and that factor's exponent, so each function
+        costs constant time.
+        """
+        texts: list[str] = []
+        heads: list[str] = []
+        runs: list[int] = []
+        letters = self.letter.tolist()
+        for p, x in zip(self.parent.tolist(), letters):
+            if p >= 0 and letters[p] == x and runs[p] < MAX_EXPONENT:
+                head, run = heads[p], runs[p] + 1
+            else:
+                head, run = (texts[p] + " " if p >= 0 else ""), 1
+            heads.append(head)
+            runs.append(run)
+            texts.append(f"{head}x{x + 1}^{run}" if run > 1 else f"{head}x{x + 1}")
+            yield texts[-1]
+
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
         values = self.rows[i, : self.order**self.arity].tobytes()
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
@@ -590,8 +673,7 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
         raise ValueError("value vectors are byte-packed; order must be <= 255")
     npoints = n**arity
     width = -(-npoints // 8) * 8
-    table = S.as_array()
-    rho = [bytes(table[:, y].tolist()) + bytes(256 - n) for y in range(n)]
+    codes = _ProductCodes(S.as_array(), arity, width)
     clone = _CloneTable(width, budget)
     projections = np.zeros((arity, width), dtype=np.uint8)
     projections[:, :npoints] = coordinate_grid(n, arity)
@@ -601,7 +683,7 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     head = 0
     while head < clone.count:
         stop = min(head + step, clone.count)
-        products = _right_products(clone.rows[head:stop], rho, arity, npoints)
+        products = _right_products(clone.rows[head:stop], codes)
         parent = np.repeat(np.arange(head, stop), arity)
         clone.add(products, parent, np.tile(variables, stop - head))
         head = stop

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,8 @@ from eqdomain import (
     enumerate_tables,
     term_functions,
 )
-from eqdomain import monogenic_table
-from eqdomain.terms import format_word
+from eqdomain import Semigroup, monogenic_table
+from eqdomain.terms import TermFunctions, _ProductCodes, _right_products, coordinate_grid, format_word
 from support import A2, LEFT_ZERO, MIN2, Z2, Z3, per_head_term_functions, raw_word_vectors
 
 words = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
@@ -275,11 +276,32 @@ class TestBlockEngine:
         assert len(funcs) == 1614
         assert listing(funcs) == listing(per_head_term_functions(A2, 3))
 
+    def test_matches_oracle_on_order_17(self):
+        # past the one-group byte code (n * n <= 256) of the product kernel
+        z17 = Semigroup([[(a + b) % 17 for b in range(17)] for a in range(17)])
+        funcs = term_functions(z17, 2)
+        assert len(funcs) == 17 * 17
+        assert listing(funcs) == listing(per_head_term_functions(z17, 2))
+
     def test_words_are_the_witness_words(self):
         funcs = term_functions(A2, 3)
         witnesses = [f.witness for f in per_head_term_functions(A2, 3)]
         assert list(funcs.words()) == [t.word for t in witnesses]
         assert [format_word(w) for w in funcs.words()] == [str(t) for t in witnesses]
+        assert list(funcs.texts()) == [str(t) for t in witnesses]
+
+    def test_texts_split_long_runs_like_format_word(self):
+        # every prefix of one word, plus a branch off each run's 64th letter
+        word = (0,) * 130 + (1,) * 65 + (0,) + (1,) * 64 + (0,) * 2
+        parent = list(range(-1, len(word) - 1))
+        letter = list(word)
+        for j in (63, 127, 193):
+            parent += [j, j]
+            letter += [word[j], 1 - word[j]]
+        funcs = TermFunctions(1, 2, np.zeros((len(letter), 8), np.uint8), np.array(parent), np.array(letter))
+        words = list(funcs.words())
+        assert list(funcs.texts()) == [format_word(w) for w in words]
+        assert all(parse_term(t, 2).word == w for t, w in zip(funcs.texts(), words))
 
     @pytest.mark.parametrize("heads", [1, 3])
     def test_blocks_of_a_few_heads_keep_the_order(self, monkeypatch, heads):
@@ -316,3 +338,24 @@ class TestBlockEngine:
         assert funcs.rows.shape == (len(funcs), 16)
         assert not funcs.rows[:, 9:].any()
         assert [r[:9].tobytes() for r in funcs.rows] == [f.values for f in funcs]
+
+
+class TestProductKernel:
+    """``_right_products`` against a plain numpy product of the same rows."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_table_lookup(self, n):
+        rng = np.random.default_rng(n)
+        table = rng.integers(0, n, (n, n))
+        for arity in (1, 2, 3):
+            npoints = n**arity
+            width = -(-npoints // 8) * 8
+            heads = np.zeros((5, width), dtype=np.uint8)
+            heads[:, :npoints] = rng.integers(0, n, (5, npoints))
+            grid = coordinate_grid(n, arity)
+            expected = np.zeros((5, arity, width), dtype=np.uint8)
+            for i in range(arity):
+                expected[:, i, :npoints] = table[heads[:, :npoints], grid[i]]
+            got = _right_products(heads, _ProductCodes(table, arity, width))
+            assert got.shape == (5 * arity, width)
+            assert (got == expected.reshape(5 * arity, width)).all()
