@@ -22,6 +22,7 @@ from .terms import (
     System,
     TermFunction,
     TermFunctions,
+    _fold_word,
     _regroup,
     _row_hashes,
     coordinate_grid,
@@ -136,7 +137,7 @@ class PointSet:
         return bool((self.mask >> index) & 1)
 
     def __contains__(self, point) -> bool:
-        return self.contains_index(encode_point(tuple(point), self.n))
+        return self.contains_index(encode_point(point, self.n, self.k))
 
     def least_point(self) -> tuple[int, ...] | None:
         """The member with the least encoding, or None when empty."""
@@ -229,13 +230,6 @@ class PointSet:
         raise ValueError("point-set object needs a 'points' or 'bitmap' field")
 
 
-def _term_values(S: Semigroup, term, grid_u8, table_u8) -> np.ndarray:
-    v = grid_u8[term.word[0]]
-    for letter in term.word[1:]:
-        v = table_u8[v, grid_u8[letter]]
-    return v
-
-
 def solution_set(S: Semigroup, obj: Equation | System) -> PointSet:
     """All points satisfying the equation, or every equation of the system."""
     import numpy as np
@@ -249,13 +243,11 @@ def solution_set(S: Semigroup, obj: Equation | System) -> PointSet:
     else:
         raise TypeError("expected an Equation or a System")
     n = S.order
-    table_u8 = S.as_array().astype(np.uint8)
-    grid_u8 = coordinate_grid(n, k).astype(np.uint8)
+    flat = S.as_array().ravel()
+    grid = coordinate_grid(n, k)
     keep = np.ones(n**k, dtype=bool)
     for eq in equations:
-        lhs = _term_values(S, eq.lhs, grid_u8, table_u8)
-        rhs = _term_values(S, eq.rhs, grid_u8, table_u8)
-        keep &= lhs == rhs
+        keep &= _fold_word(eq.lhs.word, grid, flat, n) == _fold_word(eq.rhs.word, grid, flat, n)
     return PointSet._from_bool(keep, n, k)
 
 

@@ -229,8 +229,15 @@ def parse_equations(text: str, arity: int) -> System:
     return System(tuple(equations))
 
 
-def encode_point(point, n: int) -> int:
-    """Big-endian lexicographic encoding: coordinate 0 is most significant."""
+def encode_point(point, n: int, k: int | None = None) -> int:
+    """Big-endian lexicographic encoding: coordinate 0 is most significant.
+
+    With ``k`` given, the point must have exactly k coordinates.
+    """
+    if k is not None:
+        point = tuple(point)
+        if len(point) != k:
+            raise ValueError(f"point has {len(point)} coordinates, expected {k}")
     idx = 0
     for c in point:
         if not 0 <= c < n:
@@ -261,17 +268,28 @@ def coordinate_grid(n: int, k: int) -> np.ndarray:
     return np.indices((n,) * k).reshape(k, n**k)
 
 
+def _fold_word(word: tuple[int, ...], values, flat, n: int):
+    """The value of a word when variable i takes ``values[i]``.
+
+    A left-to-right fold through the flattened table, whose entry
+    ``flat[v * n + c]`` is the product of v and c.  The values may be ints,
+    or numpy arrays that hold the variables at many points at once.
+    """
+    v = values[word[0]]
+    for letter in word[1:]:
+        v = flat[v * n + values[letter]]
+    return v
+
+
 def eval_term(S: Semigroup, term: Term, point) -> int:
     """Value of a term at a point of S^arity: a left-to-right table fold."""
     point = tuple(point)
     if len(point) != term.arity:
         raise ValueError(f"point has {len(point)} coordinates, term arity is {term.arity}")
-    t = S.table
-    w = term.word
-    v = point[w[0]]
-    for letter in w[1:]:
-        v = t[v][point[letter]]
-    return v
+    n = S.order
+    if not all(0 <= c < n for c in point):
+        raise ValueError(f"coordinates must lie in 0..{n - 1}")
+    return _fold_word(term.word, point, tuple(itertools.chain.from_iterable(S.table)), n)
 
 
 @dataclass(frozen=True)
@@ -311,7 +329,7 @@ class TermFunction:
     witness: Term = field(compare=False)
 
     def __call__(self, point) -> int:
-        return self.values[encode_point(point, self.order)]
+        return self.values[encode_point(point, self.order, self.arity)]
 
 
 def _row_hashes(rows: np.ndarray) -> np.ndarray:
@@ -341,22 +359,6 @@ def _row_hashes(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_equal(hashes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each row, the index of the first row equal to it.
-
-    Rows are grouped by hash and each member is compared with its group's
-    first row; see :func:`_regroup` for a hash that different rows share.
-    """
-    import numpy as np
-
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    others = np.flatnonzero(rep != np.arange(len(rep)))
-    differ = rows[others].view(np.uint64) != rows[rep[others]].view(np.uint64)
-    _regroup(rep, hashes, others[differ.any(axis=1)], rows.__getitem__)
-    return rep
-
-
 def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
     """Make ``rep`` exact for each hash that a row in ``split`` shares with
     a different row: the rows of such a hash are regrouped by their bytes,
@@ -373,84 +375,18 @@ def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
             rep[m] = seen.setdefault(row.tobytes(), m)
 
 
-class _HashIndex:
-    """A map from 64-bit hashes to row numbers, in two numpy arrays.
-
-    Open addressing with linear probing: a key starts at the slot named by
-    its top bits and moves to the next slot while that one holds another
-    key.  The table is kept at most half full, so a batch of lookups or
-    inserts takes a few vectorized rounds.  A key stored twice (rows whose
-    hashes collide) is found under either row.
-    """
-
-    def __init__(self):
-        import numpy as np
-
-        self.bits = 10
-        self.keys = np.zeros(1 << self.bits, dtype=np.uint64)
-        self.rows = np.full(1 << self.bits, -1, dtype=np.intp)  # -1: an empty slot
-        self.size = 0
-
-    def _slots(self, keys: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return (keys >> np.uint64(64 - self.bits)).astype(np.intp)
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The row stored under each key, or -1."""
-        import numpy as np
-
-        found = np.full(len(keys), -1, dtype=np.intp)
-        slot = self._slots(keys)
-        todo = np.arange(len(keys))
-        while len(todo):
-            rows = self.rows[slot[todo]]
-            hit = (rows >= 0) & (self.keys[slot[todo]] == keys[todo])
-            found[todo[hit]] = rows[hit]
-            todo = todo[(rows >= 0) & ~hit]
-            slot[todo] = (slot[todo] + 1) & (len(self.rows) - 1)
-        return found
-
-    def rows_of(self, key) -> list[int]:
-        """Every row stored under one key, read along its probe chain."""
-        out = []
-        slot = int(self._slots(key))
-        while self.rows[slot] >= 0:
-            if self.keys[slot] == key:
-                out.append(int(self.rows[slot]))
-            slot = (slot + 1) & (len(self.rows) - 1)
-        return out
-
-    def insert(self, keys: np.ndarray, rows: np.ndarray):
-        """Store each key with its row."""
-        import numpy as np
-
-        if 2 * (self.size + len(keys)) > len(self.rows):
-            # rehash everything into a table at most a quarter full
-            used = self.rows >= 0
-            keys = np.concatenate([self.keys[used], keys])
-            rows = np.concatenate([self.rows[used], rows])
-            self.bits = (4 * len(keys)).bit_length()
-            self.keys = np.zeros(1 << self.bits, dtype=np.uint64)
-            self.rows = np.full(1 << self.bits, -1, dtype=np.intp)
-            self.size = 0
-        self.size += len(keys)
-        slot = self._slots(keys)
-        todo = np.arange(len(keys))
-        while len(todo):
-            free = np.flatnonzero(self.rows[slot[todo]] < 0)
-            # of the keys that reach one free slot, the first takes it
-            _, first = np.unique(slot[todo[free]], return_index=True)
-            won = todo[free[first]]
-            self.keys[slot[won]] = keys[won]
-            self.rows[slot[won]] = rows[won]
-            todo = np.delete(todo, free[first])
-            # every slot the rest reached is taken now: probe on
-            slot[todo] = (slot[todo] + 1) & (len(self.rows) - 1)
-
-
 class _CloneTable:
-    """Distinct zero-padded rows in discovery order, with a verified hash index."""
+    """Distinct zero-padded rows in discovery order, with an exact hash index.
+
+    The index is open addressing with linear probing over two arrays: slot
+    s holds the row numbered ``ids[s]``, whose hash is ``keys[s]``, or the
+    largest intp when it is free.  A row starts at the slot named by the
+    top bits of its hash and moves on until it reaches a free slot, which
+    it claims, or a slot whose key and row bytes both equal its own, so a
+    hash shared by different rows only sends the later row on down the
+    chain.  The index doubles before it could pass half full, and a block
+    of rows settles in a few vectorized rounds.
+    """
 
     def __init__(self, width: int, budget: int):
         import numpy as np
@@ -460,42 +396,81 @@ class _CloneTable:
         self.count = 0
         self.parents: list[np.ndarray] = []
         self.letters: list[np.ndarray] = []
-        self.index = _HashIndex()  # hash -> a stored row with that hash
+        self.keys = np.zeros(0, dtype=np.uint64)
+        self.ids = np.zeros(0, dtype=np.intp)
 
-    def _stored(self, rows: np.ndarray, hashes: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """Which of the rows at the indices ``which`` are already in the table."""
+    def _settle(self, keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The slot where each of the rows ``self.rows[ids]`` stops.
+
+        Of the rows that reach one free slot in a round, the first claims
+        it.  Equal rows share a key, so they probe in lockstep: the first
+        of them claims a slot and the rest stop there.
+        """
         import numpy as np
 
-        known = np.zeros(len(which), dtype=bool)
-        ref = self.index.find(hashes[which])
-        hit = np.flatnonzero(ref >= 0)
-        stored = self.rows[ref[hit]].view(np.uint64)
-        known[hit] = (stored == rows[which[hit]].view(np.uint64)).all(axis=1)
-        for j in hit[~known[hit]]:
-            # a hash collision: compare with the other stored rows of this hash
-            same = self.rows[self.index.rows_of(hashes[which[j]])]
-            known[j] = (same == rows[which[j]]).all(axis=1).any()
-        return known
+        free = np.iinfo(np.intp).max
+        mask = len(self.ids) - 1
+        slot = (keys >> np.uint64(64 - mask.bit_length())).astype(np.intp)
+        todo = np.arange(len(ids))
+        while len(todo):
+            at = slot[todo]
+            claim = self.ids[at] == free
+            free_at = at[claim]
+            np.minimum.at(self.ids, free_at, todo[claim])
+            won = self.ids[free_at]
+            self.keys[free_at] = keys[won]
+            self.ids[free_at] = ids[won]
+            held = self.ids[at]
+            stop = held == ids[todo]
+            same = np.flatnonzero(~stop & (self.keys[at] == keys[todo]))
+            theirs = self.rows[held[same]].view(np.uint64)
+            stop[same] = (theirs == self.rows[ids[todo[same]]].view(np.uint64)).all(axis=1)
+            todo = todo[~stop]
+            slot[todo] = (slot[todo] + 1) & mask
+        return slot
+
+    def _reserve(self, extra: int):
+        """Double the index until ``extra`` more rows leave it at most half full."""
+        import numpy as np
+
+        size = max(len(self.ids), 1 << 10)
+        while 2 * (self.count + extra) > size:
+            size *= 2
+        if size > len(self.ids):
+            used = self.ids != np.iinfo(np.intp).max
+            keys, ids = self.keys[used], self.ids[used]
+            self.keys = np.zeros(size, dtype=np.uint64)
+            self.ids = np.full(size, np.iinfo(np.intp).max)
+            self._settle(keys, ids)
 
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
-        """Append the rows not seen before, in order, first occurrence kept."""
+        """Append the rows not seen before, in order, first occurrence kept.
+
+        The block is copied past the stored rows and probed under
+        provisional numbers.  The rows that claim a slot are then numbered
+        in block order and moved down over the rest.  The matrix keeps a
+        block's room past its rows and grows in place, so a large matrix is
+        remapped rather than copied.  No view of it outlives a step of the
+        search; the reference check is off because a profiler's bound-method
+        call adds a reference.
+        """
         import numpy as np
 
-        hashes = _row_hashes(rows)
-        rep = _first_equal(hashes, rows)
-        fresh = np.flatnonzero(rep == np.arange(len(rows)))
-        new = fresh[~self._stored(rows, hashes, fresh)]
-        end = self.count + len(new)
+        start, stop = self.count, self.count + len(rows)
+        self._reserve(len(rows))
+        if len(self.rows) < stop:
+            self.rows.resize((stop, self.rows.shape[1]), refcheck=False)
+        self.rows[start:stop] = rows
+        ids = np.arange(start, stop)
+        slot = self._settle(_row_hashes(rows), ids)
+        new = np.flatnonzero(self.ids[slot] == ids)
+        end = start + len(new)
         if end > self.budget:
             raise BudgetExceeded(self.budget + 1)
-        # In place, so a large matrix is remapped rather than copied.  No
-        # view of it outlives a step of the search; the reference check is
-        # off because a profiler's bound-method call adds a reference.
-        self.rows.resize((end, self.rows.shape[1]), refcheck=False)
-        np.take(rows, new, axis=0, out=self.rows[self.count : end])
+        self.ids[slot[new]] = np.arange(start, end)
+        self.rows[start:end] = self.rows[start + new]
         self.parents.append(parent[new])
         self.letters.append(letter[new])
-        self.index.insert(hashes[new], np.arange(self.count, end))
         self.count = end
 
 

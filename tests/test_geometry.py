@@ -6,9 +6,13 @@ import pytest
 
 from eqdomain import (
     BudgetExceeded,
+    Equation,
     PointSet,
     System,
+    Term,
+    all_points,
     algebraic_closure,
+    eval_term,
     in_pair_closure,
     is_algebraic,
     parse_equation,
@@ -46,6 +50,13 @@ class TestPointSet:
         assert (0, 1) in Y and (1, 0) not in Y
         assert len(Y) == 2
         assert list(Y) == [(0, 1), (1, 1)]
+
+    def test_membership_checks_the_point_length(self):
+        Y = PointSet.from_points(2, 3, [(0, 0, 1)])
+        assert (0, 0, 1) in Y
+        for point in ((0, 1), (0, 0, 0, 1)):
+            with pytest.raises(ValueError):
+                point in Y
 
     def test_set_algebra(self):
         a = PointSet.from_points(2, 2, [(0, 0), (0, 1)])
@@ -127,6 +138,16 @@ class TestSolutionSets:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             solution_set(Z2, "x1 = x2")
+
+    def test_matches_eval_term(self, semigroups_le3):
+        # the vectorized fold against the one-point fold, at every point
+        rng = random.Random(37)
+        for S in semigroups_le3[::4]:
+            k = rng.randint(1, 3)
+            lhs, rhs = (Term(tuple(rng.choices(range(k), k=rng.randint(1, 6))), k) for _ in "lr")
+            sol = solution_set(S, Equation(lhs, rhs))
+            for p in all_points(S.order, k):
+                assert (p in sol) == (eval_term(S, lhs, p) == eval_term(S, rhs, p))
 
 
 class TestUnionTargets:

@@ -167,6 +167,11 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_term(Z2, Term((0,), 2), (1,))
 
+    def test_coordinate_out_of_range(self):
+        for point in ((0, 2), (-1, 0)):
+            with pytest.raises(ValueError):
+                eval_term(Z2, Term((0, 1), 2), point)
+
     @given(words, words, st.data())
     @settings(max_examples=60)
     def test_concatenation_homomorphism(self, u, v, data):
@@ -215,6 +220,13 @@ class TestTermFunctions:
 
     def test_idempotent_k1_collapses(self):
         assert len(term_functions(MIN2, 1)) == 1
+
+    def test_call_checks_the_point_length(self):
+        f = term_functions(Z2, 3)[0]
+        assert f((1, 0, 0)) == 1
+        for point in ((1,), (0, 0, 1, 0)):
+            with pytest.raises(ValueError):
+                f(point)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as exc:
@@ -310,12 +322,31 @@ class TestBlockEngine:
         monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", heads * 3 * width)
         assert listing(term_functions(A2, 3)) == listing(per_head_term_functions(A2, 3))
 
-    def test_constant_hash_changes_nothing(self, constant_hash, semigroups_le3):
-        for S in semigroups_le3[::5] + [A2]:
+    @staticmethod
+    def check_exact(semigroups):
+        for S in semigroups:
             for k in (1, 2, 3):
                 expected = listing(per_head_term_functions(S, k))
                 # a missed duplicate would overrun the budget instead of growing on
                 assert listing(term_functions(S, k, budget=len(expected))) == expected
+
+    def test_constant_hash_changes_nothing(self, constant_hash, semigroups_le3):
+        self.check_exact(semigroups_le3[::5] + [A2])
+
+    @pytest.mark.parametrize(
+        "low_bits, block_bytes", [(0, 1 << 13), (2, None), (2, 1 << 13)], ids=["zero-small", "low2", "low2-small"]
+    )
+    def test_colliding_hashes_change_nothing(self, monkeypatch, semigroups_le3, low_bits, block_bytes):
+        # Only the low bits of each hash are kept, so every row starts at
+        # slot 0 and one chain mixes equal and different keys; with small
+        # blocks it also runs across many blocks and growths of the index
+        # (A2 at arity 3 has 1,614 functions, the first index 1,024 slots).
+        row_hashes = eqdomain.terms._row_hashes
+        low = np.uint64((1 << low_bits) - 1)
+        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) & low)
+        if block_bytes:
+            monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", block_bytes)
+        self.check_exact(semigroups_le3[::5] + [A2])
 
     def test_budget_edge(self):
         size = len(term_functions(A2, 3))
