@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 stdout closed early by its reader, 2 invalid input
 (bad table, parse error, bad flags), 3 internal inconsistency (a failed
-witness, an unverified identity, an exceeded closure budget, or an
-unexpected error while checking a table).
+witness, an unverified identity, an exceeded closure budget, an
+unexpected error while checking a table, or a worker process that died).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .enumeration import (
     enumerate_tables,
     format_table,
     read_corpus,
+    split_search,
 )
 from .geometry import PointSet, algebraic_closure, solution_set, union_target_m3, union_target_m4
 from .semigroups import Semigroup, TableError
@@ -44,8 +45,11 @@ DEFAULT_ARITY_LIMIT = 4
 
 _CLI_MODES = {"raw": "raw", "iso": "up_to_iso", "iso-anti": "up_to_iso_and_anti"}
 
-# tables per worker task in verify-theorem: 3,613 // 16 at order 4
-THEOREM_CHUNK = 225
+# verify-theorem splits the search of each order into up to this many
+# shards per worker, and lets up to SHARDS_AHEAD_PER_JOB shards per worker
+# be out at once, so that a long shard holds up no other worker
+SHARDS_PER_JOB = 32
+SHARDS_AHEAD_PER_JOB = 4
 
 _trusted = Semigroup._trusted  # bound at import, as in enumeration
 
@@ -98,32 +102,103 @@ def _check_table(args):
     return {"order": len(rows), "table": [list(r) for r in rows], **detail}
 
 
+def _record(result: dict) -> dict:
+    """The output record of a result: the report, or the failure itself."""
+    return result["report"] if result["status"] == "ok" else result
+
+
 def _check_tables(args):
     return [_check_table(a) for a in args]
+
+
+class WorkerLost(RuntimeError):
+    """A worker process died before it returned a task's result."""
+
+
+def _serve(fn, conn):
+    """Worker process: answer each task that comes on ``conn``, until ``None``."""
+    while (task := conn.recv()) is not None:
+        conn.send(fn(task))
+
+
+def _start_worker(fn):
+    """A worker process serving ``fn``: the pipe to it, and the process."""
+    import multiprocessing
+
+    conn, child = multiprocessing.Pipe()
+    process = multiprocessing.Process(target=_serve, args=(fn, child), daemon=True)
+    process.start()
+    child.close()  # the worker holds the only other end: its death is EOF here
+    return conn, process
+
+
+def _ordered_map(fn, tasks, jobs: int, ahead: int, describe):
+    """``fn(task)`` for each task, in task order, yielded as it arrives.
+
+    ``tasks`` may be any iterable, read as the results are wanted.  Up to
+    ``jobs`` worker processes run the tasks, never more than there are
+    tasks.  A worker takes the next task as soon as it is free, and at
+    most ``ahead`` tasks are out at once: a reader slower than the
+    workers holds them back instead of letting results pile up.  With one
+    worker the tasks run in this process.  If a worker dies, the task it
+    held, named by ``describe(index, task)``, is reported by raising
+    :class:`WorkerLost`.
+    """
+    tasks = iter(tasks)
+    head = list(islice(tasks, jobs))
+    if len(head) <= 1:
+        yield from map(fn, chain(head, tasks))
+        return
+    from multiprocessing.connection import wait
+
+    workers = dict(_start_worker(fn) for _ in head)  # pipe -> process
+    numbered = enumerate(chain(head, tasks))
+    idle, busy, done = list(workers), {}, {}  # busy: pipe -> (index, task)
+    sent = yielded = 0
+    try:
+        while True:
+            while idle and sent < yielded + ahead and (item := next(numbered, None)):
+                conn = idle.pop()
+                busy[conn] = item
+                sent += 1
+                conn.send(item[1])
+            if yielded in done:
+                yield done.pop(yielded)
+                yielded += 1
+            elif not busy:
+                return
+            else:
+                for conn in wait(list(busy)):
+                    done[busy[conn][0]] = conn.recv()
+                    del busy[conn]
+                    idle.append(conn)
+    except (EOFError, OSError):  # the pipe to a dead worker
+        index, task = busy[conn]
+        raise WorkerLost(f"a worker process died; lost {describe(index, task)}") from None
+    finally:
+        for conn, process in workers.items():
+            if conn in busy:
+                process.terminate()
+            else:
+                conn.send(None)
+        for process in workers.values():
+            process.join()
 
 
 def _map_tables(tables, budget: int, jobs: int, chunk: int):
     """The result of each table, in table order, yielded as it arrives.
 
-    ``tables`` may be any iterable, read as the results are wanted.  Under
-    ``jobs`` workers the tables go out in chunks of ``chunk``, in order,
-    and at most ``jobs + 1`` chunks are out at once: a reader slower than
-    the workers holds them back instead of letting results pile up.
+    The tables go out to ``jobs`` workers in chunks of ``chunk``, in
+    order, and at most ``jobs + 1`` chunks are out at once.
     """
     args = ((rows, budget) for rows in tables)
-    if jobs <= 1:
-        yield from map(_check_table, args)
-        return
-    from multiprocessing import Pool
+    blocks = iter(lambda: list(islice(args, chunk)), [])
 
-    with Pool(jobs) as pool:
-        pending = deque()
-        while block := list(islice(args, chunk)):
-            pending.append(pool.apply_async(_check_tables, (block,)))
-            if len(pending) > jobs:
-                yield from pending.popleft().get()
-        while pending:
-            yield from pending.popleft().get()
+    def describe(index, block):
+        return f"tables {index * chunk + 1} to {index * chunk + len(block)}"
+
+    for results in _ordered_map(_check_tables, blocks, jobs, jobs + 1, describe):
+        yield from results
 
 
 def _render_report_text(report: dict) -> str:
@@ -174,7 +249,7 @@ def cmd_check(ns) -> int:
             print(_json_doc(results[0]))
         else:
             for result in results:
-                print(_json_line(result["report"] if result["status"] == "ok" else result))
+                print(_json_line(_record(result)))
     else:
         print("\n".join(_render_result_text(r) for r in results))
     if any(r["status"] != "ok" for r in results):
@@ -183,6 +258,55 @@ def cmd_check(ns) -> int:
 
 
 # --- verify-theorem ---------------------------------------------------------
+
+
+def _theorem_results(order: int, mode: str, start, stop, budget: int):
+    """The check result of each table of one shard of the search, in order."""
+    for S in enumerate_tables(order, mode, True, start, stop):
+        yield _check_table((S.table, budget))
+
+
+def _outcome(result: dict) -> tuple:
+    """What the summary counts of one result: (order, ok, lemma, failure)."""
+    if result["status"] == "ok":
+        report = result["report"]
+        failed = report["is_equational_domain"] or report["separating_point"] is None
+        return report["order"], True, report["lemma"], "equational_domains" if failed else None
+    failure = "budget_exceeded" if result["status"] == "budget_exceeded" else "inconsistent"
+    return result["order"], False, None, failure
+
+
+def _count(per_order: dict, outcome: tuple):
+    order, ok, lemma, failure = outcome
+    stats = per_order.setdefault(
+        order,
+        {"tables": 0, "by_lemma": {}, "equational_domains": 0, "budget_exceeded": 0, "inconsistent": 0},
+    )
+    stats["tables"] += 1
+    if ok:
+        stats["by_lemma"][lemma] = stats["by_lemma"].get(lemma, 0) + 1
+    if failure is not None:
+        stats[failure] += 1
+
+
+def _check_shard(task):
+    """Pool task: the finished JSON lines of one shard of the search (none
+    for text output) and the outcome of each of its tables."""
+    *shard, as_json = task
+    lines, outcomes = [], []
+    for result in _theorem_results(*shard):
+        if as_json:
+            lines.append(_json_line(_record(result)))
+        outcomes.append(_outcome(result))
+    return lines, outcomes
+
+
+def _theorem_shards(ns, mode: str):
+    """The pool tasks of verify-theorem: each order's search, in shards."""
+    for order in range(2, ns.max_order + 1):
+        starts = split_search(order, mode, SHARDS_PER_JOB * ns.jobs)
+        for start, stop in zip(starts, starts[1:] + [None]):
+            yield order, mode, start, stop, ns.budget, ns.format == "json"
 
 
 def cmd_verify_theorem(ns) -> int:
@@ -197,33 +321,33 @@ def cmd_verify_theorem(ns) -> int:
         )
         return EXIT_INVALID
     mode = _CLI_MODES[ns.mode]
-    tables = chain.from_iterable(
-        enumerate_tables(order, mode, allow_large=ns.allow_large)
-        for order in range(2, ns.max_order + 1)
-    )
     per_order: dict[int, dict] = {}
-    failures = checked = 0
-    for result in _map_tables((S.table for S in tables), ns.budget, ns.jobs, THEOREM_CHUNK):
-        record = result["report"] if result["status"] == "ok" else result
-        if ns.format == "json":
-            print(_json_line(record))
-        checked += 1
-        stats = per_order.setdefault(
-            record["order"],
-            {"tables": 0, "by_lemma": {}, "equational_domains": 0, "budget_exceeded": 0, "inconsistent": 0},
-        )
-        stats["tables"] += 1
-        if result["status"] == "ok":
-            report = result["report"]
-            lemma = report["lemma"]
-            stats["by_lemma"][lemma] = stats["by_lemma"].get(lemma, 0) + 1
-            if report["is_equational_domain"] or report["separating_point"] is None:
-                stats["equational_domains"] += 1
-                failures += 1
-        else:
-            key = "budget_exceeded" if result["status"] == "budget_exceeded" else "inconsistent"
-            stats[key] += 1
-            failures += 1
+    if ns.jobs == 1:
+        # the whole search of each order is one shard, in this process
+        for order in range(2, ns.max_order + 1):
+            for result in _theorem_results(order, mode, (), None, ns.budget):
+                if ns.format == "json":
+                    print(_json_line(_record(result)))
+                _count(per_order, _outcome(result))
+    else:
+
+        def describe(index, task):
+            order, _, start, stop, *_ = task
+            end = "the end" if stop is None else f"node {list(stop)}"
+            return f"the order-{order} search from node {list(start)} to {end}"
+
+        shards = _theorem_shards(ns, mode)
+        ahead = SHARDS_AHEAD_PER_JOB * ns.jobs
+        for lines, outcomes in _ordered_map(_check_shard, shards, ns.jobs, ahead, describe):
+            if lines:
+                print("\n".join(lines))
+            for outcome in outcomes:
+                _count(per_order, outcome)
+    checked = sum(stats["tables"] for stats in per_order.values())
+    failures = sum(
+        stats["equational_domains"] + stats["budget_exceeded"] + stats["inconsistent"]
+        for stats in per_order.values()
+    )
 
     summary = {
         "command": "verify-theorem",
@@ -481,6 +605,9 @@ def main(argv=None) -> int:
         return EXIT_INCONSISTENT
     except WitnessNotFound as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except WorkerLost as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (CorpusError, TableError, TermSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from pathlib import Path
 from typing import Iterator
@@ -40,6 +41,7 @@ __all__ = [
     "SOFT_ORDER_LIMIT",
     "CanonicalForm",
     "enumerate_tables",
+    "split_search",
     "canonicalize",
     "is_canonical",
     "CorpusError",
@@ -134,7 +136,8 @@ def canonicalize(S: Semigroup, mode: str) -> CanonicalForm:
     return CanonicalForm(canonical_table(S.table, mode), mode)
 
 
-def _relabelings(n: int, mode: str) -> list[tuple[list[int], list[int], int]]:
+@cache
+def _relabelings(n: int, mode: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """The start state ``(src, lab, 0)`` of each relabeling the search tests.
 
     For the relabeling sigma of a view (the table, or its transpose in
@@ -142,7 +145,9 @@ def _relabelings(n: int, mode: str) -> list[tuple[list[int], list[int], int]]:
     cell ``src[q]`` of the table and renamed by ``lab``, the inverse of
     sigma, as in :func:`is_canonical`.  The third entry is the first cell
     not yet known to tie.  The identity of the table itself is left out:
-    its candidate is the table.  ``raw`` mode has none.
+    its candidate is the table.  ``raw`` mode has none.  Built once per
+    process for each ``(n, mode)``: every shard of a split search starts
+    from them.
     """
     states = []
     views = {"raw": (), "up_to_iso": (False,), "up_to_iso_and_anti": (False, True)}[mode]
@@ -154,14 +159,20 @@ def _relabelings(n: int, mode: str) -> list[tuple[list[int], list[int], int]]:
             for a, s in enumerate(sigma):
                 lab[s] = a
             if transposed:
-                src = [sigma[j] * n + sigma[i] for i in range(n) for j in range(n)]
+                src = tuple(sigma[j] * n + sigma[i] for i in range(n) for j in range(n))
             else:
-                src = [sigma[i] * n + sigma[j] for i in range(n) for j in range(n)]
-            states.append((src, lab, 0))
-    return states
+                src = tuple(sigma[i] * n + sigma[j] for i in range(n) for j in range(n))
+            states.append((src, tuple(lab), 0))
+    return tuple(states)
 
 
-def _assoc_tables(n: int, mode: str = "raw") -> Iterator[tuple[tuple[int, ...], ...]]:
+def _assoc_tables(
+    n: int,
+    mode: str = "raw",
+    start: tuple[int, ...] = (),
+    stop: tuple[int, ...] | None = None,
+    cut: int | None = None,
+) -> Iterator[tuple]:
     """The associative n x n tables, in lexicographic order of the flat table.
 
     A depth-first search over a flat table ``t`` (``-1`` marks an unknown
@@ -174,6 +185,16 @@ def _assoc_tables(n: int, mode: str = "raw") -> Iterator[tuple[tuple[int, ...], 
     In the reduced modes ``refine`` prunes a node once its known cells
     show that no completion is canonical.  It is exact on a full table, so
     the stream is the canonical tables of the raw stream, in its order.
+
+    A node of the search is named by its branch values from the root
+    down.  The search visits nodes in increasing order of their names (a
+    name comes before its extensions), so every node opens a contiguous
+    piece of the stream.  With ``start`` the search begins at that node,
+    replayed by the same assign, ``propagate`` and ``refine`` steps, and
+    goes on past its subtree in the same order; with ``stop`` it ends on
+    reaching that node.  With ``cut`` (at most ``n * n``) it yields, in
+    place of tables, the name of each node that is the first on its path
+    with at least ``cut`` known cells, and does not branch below it.
     """
     size = n * n
     t = [-1] * size
@@ -262,10 +283,27 @@ def _assoc_tables(n: int, mode: str = "raw") -> Iterator[tuple[tuple[int, ...], 
         live[0] = (state, live[0])
     stack: list[list] = []  # [branch cell, trail mark, next value, waiting]
     pos = 0
-    while True:
+    for v in start:  # replay the branches down to the start node
         while pos < size and t[pos] >= 0:
             pos += 1
-        if pos == size:
+        if pos == size or not 0 <= v < n:
+            raise ValueError(f"{start} names no node of the search")
+        mark = len(trail)
+        stack.append([pos, mark, v + 1, live])
+        t[pos] = v
+        trail.append(pos)
+        where[v].append(pos)
+        if not propagate(mark) or prune and (live := refine(live, mark)) is None:
+            raise ValueError(f"{start} names no node of the search")
+    stop_depth = -1 if stop is None else len(stop)
+    while True:
+        if len(stack) == stop_depth and tuple(f[2] - 1 for f in stack) == stop:
+            return
+        while pos < size and t[pos] >= 0:
+            pos += 1
+        if cut is not None and len(trail) >= cut:
+            yield tuple(f[2] - 1 for f in stack)
+        elif pos == size:
             yield tuple(tuple(t[r * n : (r + 1) * n]) for r in elements)
         else:
             stack.append([pos, len(trail), 0, live])
@@ -293,13 +331,36 @@ def _assoc_tables(n: int, mode: str = "raw") -> Iterator[tuple[tuple[int, ...], 
             return  # every branch is exhausted
 
 
-def enumerate_tables(order: int, mode: str = "raw", allow_large: bool = False) -> Iterator[Semigroup]:
+def split_search(order: int, mode: str, pieces: int) -> list[tuple[int, ...]]:
+    """The start nodes of at most ``pieces`` shards that split one search.
+
+    Shard i goes from start i up to start i + 1 (the last one to the end),
+    so the shards' streams, concatenated, are the whole stream.  The first
+    start is the root.  The others are spread evenly over the nodes that
+    are the first on their path with half the table's cells known, at
+    least eight of those nodes to a shard: a cut by known cells goes
+    deeper where few cells are forced, such as among the zero-rich tables
+    that hold most of the reduced searches, and a tiny search stays whole.
+    """
+    nodes = list(_assoc_tables(order, mode, cut=order * order // 2))
+    count = max(1, min(pieces, len(nodes) // 8))
+    return [()] + [nodes[i * len(nodes) // count] for i in range(1, count)]
+
+
+def enumerate_tables(
+    order: int,
+    mode: str = "raw",
+    allow_large: bool = False,
+    start: tuple[int, ...] = (),
+    stop: tuple[int, ...] | None = None,
+) -> Iterator[Semigroup]:
     """Yield every semigroup of the given order, optionally one per class.
 
     ``up_to_iso`` keeps only tables equal to their own canonical form, so
     the stream contains exactly one representative per isomorphism class;
     ``up_to_iso_and_anti`` also folds transposed tables together.  Output
-    order is deterministic (lexicographic over the raw stream).
+    order is deterministic (lexicographic over the raw stream).  ``start``
+    and ``stop`` restrict it to one shard of :func:`split_search`.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -310,7 +371,7 @@ def enumerate_tables(order: int, mode: str = "raw", allow_large: bool = False) -
             f"order {order} exceeds the soft limit {SOFT_ORDER_LIMIT}; pass allow_large to proceed"
         )
 
-    return map(_trusted, _assoc_tables(order, mode))
+    return map(_trusted, _assoc_tables(order, mode, start, stop))
 
 
 class CorpusError(ValueError):

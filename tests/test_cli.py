@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqdomain.cli as cli
-from eqdomain import DEFAULT_BUDGET, enumerate_tables
+from eqdomain import DEFAULT_BUDGET, enumerate_tables, format_table
 from eqdomain.cli import _map_tables, main
+from eqdomain.enumeration import split_search
 from support import LEFT_ZERO, MIN2, Z2
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -116,6 +119,23 @@ class TestCheck:
         assert code == 2
 
 
+# Runs the CLI with check_semigroup patched to end its process at once on
+# the 2,001st table of order 4, as a killed or crashed worker would.
+DIES_ON_TABLE_2001 = """
+import os, sys
+import eqdomain.cli as cli
+from eqdomain import enumerate_tables
+doomed = [S.table for S in enumerate_tables(4)][2000]
+check = cli.check_semigroup
+def check_or_die(S, budget):
+    if S.table == doomed:
+        os._exit(9)
+    return check(S, budget=budget)
+cli.check_semigroup = check_or_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestVerifyTheorem:
     def test_order_two(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--max-order", "2")
@@ -171,6 +191,58 @@ class TestVerifyTheorem:
         code, out, _ = run(capsys, "verify-theorem", "--max-order", "2", "--mode", "iso")
         assert code == 0
         assert json.loads(out.splitlines()[-1])["tables_checked"] == 5
+
+    def test_order6_frozen_count_through_the_split_search(self, capsys):
+        # OEIS A001423 at order 6, checked by workers that each search one shard
+        code, out, _ = run(
+            capsys, "verify-theorem", "--max-order", "6", "--mode", "iso-anti", "--allow-large", "--jobs", "2"
+        )
+        assert code == 0
+        *records, summary = map(json.loads, out.splitlines())
+        assert summary["per_order"]["6"]["tables"] == 15_973
+        assert summary["tables_checked"] == len(records) == 4 + 18 + 126 + 1_160 + 15_973
+        assert summary["failures"] == 0
+        tables = [r["table"] for r in records if r["order"] == 6]
+        assert tables == sorted(tables)
+
+    @pytest.mark.parametrize("command", ["verify-theorem", "check"])
+    def test_dead_worker_is_reported(self, command, tmp_path):
+        # A worker that dies takes its task with it: the run names the lost
+        # tables and ends with exit 3 instead of waiting for them forever.
+        corpus = tmp_path / "order4.txt"
+        corpus.write_text("\n\n".join(format_table(S) for S in enumerate_tables(4)) + "\n")
+        argv = ["verify-theorem", "--max-order", "4"] if command == "verify-theorem" else ["check", str(corpus)]
+        proc = subprocess.run(
+            [sys.executable, "-c", DIES_ON_TABLE_2001, *argv, "--jobs", "2"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "error: a worker process died; lost " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        # what is written comes before the lost table, and there is no summary
+        assert len(proc.stdout.splitlines()) < 8 + 113 + 2000
+
+    def test_no_more_workers_than_shards(self, capsys, monkeypatch):
+        started = []
+
+        def thread_worker(fn):
+            """A worker as cli._start_worker makes one, but a thread of this process."""
+            started.append(fn)
+            conn, child = multiprocessing.Pipe()
+            thread = threading.Thread(target=cli._serve, args=(fn, child), daemon=True)
+            thread.start()
+            return conn, thread
+
+        monkeypatch.setattr(cli, "_start_worker", thread_worker)
+        _, out1, _ = run(capsys, "verify-theorem", "--max-order", "3", "--jobs", "1")
+        code, out64, _ = run(capsys, "verify-theorem", "--max-order", "3", "--jobs", "64")
+        assert code == 0
+        assert out64 == out1
+        shards = sum(len(split_search(n, "raw", cli.SHARDS_PER_JOB * 64)) for n in (2, 3))
+        assert len(started) == shards and 1 < shards < 64
 
     def test_map_tables_reads_a_stream_in_order(self):
         pulled = 0

@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -13,7 +14,7 @@ from eqdomain import (
     parse_corpus,
     read_corpus,
 )
-from eqdomain.enumeration import MODES, _assoc_tables, canonical_table, is_canonical
+from eqdomain.enumeration import MODES, _assoc_tables, canonical_table, is_canonical, split_search
 from support import LEFT_ZERO, RIGHT_ZERO, Z2, brute_force_assoc_tables, cell_scan_assoc_tables
 
 RAW_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3_492}
@@ -109,6 +110,51 @@ class TestEnumerate:
             enumerate_tables(2, "bogus")
         with pytest.raises(ValueError):
             enumerate_tables(6)
+
+
+def shard_streams(n, mode, starts):
+    """The tables of each shard of a split search, one shard after another."""
+    for start, stop in zip(starts, starts[1:] + [None]):
+        yield from enumerate_tables(n, mode, True, start, stop)
+
+
+class TestSplitSearch:
+    """The shards of a split search, concatenated, are the whole stream."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_shards_concatenate_to_the_stream(self, n, mode):
+        starts = split_search(n, mode, 64)  # the split of verify-theorem --jobs 2
+        assert starts[0] == ()
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        # streamed pairwise: the raw order-5 stream is 183,732 tables
+        pairs = zip_longest(shard_streams(n, mode, starts), enumerate_tables(n, mode))
+        assert all(a is not None and b is not None and a.table == b.table for a, b in pairs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_shard_count_at_order_4(self, mode):
+        whole = [S.table for S in enumerate_tables(4, mode)]
+        for pieces in range(1, 12):
+            starts = split_search(4, mode, pieces)
+            assert 1 <= len(starts) <= pieces
+            assert [S.table for S in shard_streams(4, mode, starts)] == whole
+
+    def test_cut_lists_nodes_in_order(self):
+        for cut in range(1, 10):
+            nodes = list(_assoc_tables(3, "raw", cut=cut))
+            assert all(a < b for a, b in zip(nodes, nodes[1:]))
+            # no node lies inside another's subtree
+            assert not any(b[: len(a)] == a for a, b in zip(nodes, nodes[1:]))
+            shards = [list(_assoc_tables(3, "raw", a, b)) for a, b in zip(nodes, nodes[1:] + [None])]
+            assert [t for shard in shards for t in shard] == list(_assoc_tables(3))
+
+    @pytest.mark.parametrize(
+        "mode, start",
+        [("raw", (0, 0, 1)), ("raw", (3,)), ("raw", (0,) * 10), ("up_to_iso", (1, 0))],
+    )
+    def test_start_that_is_no_node(self, mode, start):
+        with pytest.raises(ValueError, match="names no node"):
+            list(_assoc_tables(3, mode, start))
 
 
 class TestTrustedTables:
