@@ -515,36 +515,38 @@ def _translated(cells: np.ndarray, offsets: np.ndarray, table: bytes) -> np.ndar
     return np.frombuffer(buffer.translate(table), dtype=np.uint8).reshape(shape)
 
 
-def _right_products(heads: np.ndarray, codes: _ProductCodes) -> np.ndarray:
-    """Row ``b * arity + i``: row b of ``heads`` times x_{i+1}, pointwise.
+def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes) -> np.ndarray:
+    """Row b: row b of ``cells`` times the variable ``x_{letters[b]+1}``, pointwise.
 
     Each cell is coded as a byte that names both factors (see
     :class:`_ProductCodes`), and one ``bytearray.translate`` turns the codes
-    into products.  With n <= 16 that is one broadcast add and one
-    translate for the whole block, after which the pad is zeroed again.
+    into products.  With n <= 16 that is one add of each row's offsets and
+    one translate for the whole block, after which the pad is zeroed again.
     With more elements, coordinate i is digit i of the big-endian point
-    index, so the points whose coordinate i lies in one group of values
-    form a slab of a 4-d view, coded and translated a group at a time.
+    index, so for the rows of letter i the points whose coordinate i lies
+    in one group of values form a slab of a 4-d view, coded and translated
+    a group at a time.
     """
     import numpy as np
 
-    count, width = heads.shape
+    count, width = cells.shape
     n, arity, npoints = codes.order, codes.arity, codes.npoints
     if len(codes.tables) == 1:
-        out = _translated(heads[:, None, :], codes.offsets, codes.tables[0])
-        out[:, :, npoints:] = 0
-        return out.reshape(count * arity, width)
-    out = np.empty((count, arity, width), dtype=np.uint8)
-    out[:, :, npoints:] = 0
+        out = _translated(cells, codes.offsets[letters], codes.tables[0])
+        out[:, npoints:] = 0
+        return out
+    out = np.zeros((count, width), dtype=np.uint8)
     for i in range(arity):
-        view = (count, n**i, n, n ** (arity - 1 - i))  # (head, higher digits, y, run)
-        src = heads[:, :npoints].reshape(view)
-        dst = out[:, i, :npoints].reshape(view)
+        rows = np.flatnonzero(letters == i)
+        view = (len(rows), n**i, n, n ** (arity - 1 - i))  # (row, higher digits, y, run)
+        src = cells[rows, :npoints].reshape(view)
+        dst = np.empty(view, dtype=np.uint8)
         for g, y0 in enumerate(range(0, n, codes.size)):
             ys = slice(y0, min(y0 + codes.size, n))
             offsets = codes.offsets[: ys.stop - y0]
             dst[:, :, ys] = _translated(src[:, :, ys], offsets, codes.tables[g])
-    return out.reshape(count * arity, width)
+        out[rows, :npoints] = dst.reshape(len(rows), npoints)
+    return out
 
 
 class TermFunctions(Sequence):
@@ -619,6 +621,19 @@ class TermFunctions(Sequence):
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
 
 
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` itself, or when it has fewer than ``size`` rows a copy with at
+    least twice its rows, the new rows left unset so that until they are
+    written they take no memory."""
+    import numpy as np
+
+    if len(a) >= size:
+        return a
+    grown = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    grown[: len(a)] = a
+    return grown
+
+
 def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> TermFunctions:
     """Every function S^arity -> S induced by a term, in discovery order.
 
@@ -626,16 +641,42 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     closed under the pointwise table product.  Because the product is
     associative, every word function extends a one-letter-shorter word
     function, so a breadth-first worklist that multiplies each discovered
-    function by the projections on the right reaches the whole set in
-    O(size * arity) products.  Projections are seeded in variable order
-    and the queue is FIFO, so the computation is deterministic and each
-    function carries a shortest witness term (first found).
+    function by the projections on the right reaches the whole set.
+    Projections are seeded in variable order and the queue is FIFO, so the
+    products come in the shortlex order of their words (shorter first, then
+    lexicographic in x1 < x2 < ...), and each function's witness, its first
+    word found, is the shortlex-least word of that function: its reduced
+    word.
 
-    The worklist is taken a block of functions at a time: the block's
-    products come in (function, variable) order and the first occurrence
-    of each new value vector is kept, which is the order of the one-by-one
-    search.  Each function costs its n**arity values, padded to 8 bytes,
-    so ``budget`` (a function count) also bounds the memory.
+    Only the products whose word has a reduced suffix are formed (the
+    reduced-word principle of Froidure and Pin, "Algorithms for computing
+    finite semigroups", 1997).  A function u is multiplied by x_j only when
+    suffix(u)·x_j is a witness word, where suffix(u) is u's witness without
+    its first letter.  The pruned search keeps exactly the functions,
+    witnesses and order of the full one:
+
+    - every factor of a reduced word is reduced, since shortlex order is
+      kept under concatenation; so the first occurrence of a function, at
+      its reduced word, has a reduced suffix and is formed;
+    - if suffix(u)·x_j is not reduced, a shortlex-smaller word has its
+      value, and with u's first letter in front it gives a shortlex-smaller
+      word than u·x_j with the value of u·x_j, which the search reached
+      earlier, so the pruned product would not have been new.
+
+    ``children[i + 1, j]`` is the id of the function whose witness is
+    word(i)·x_j, or -1 when that word is no witness; row 0 stands for the
+    empty word, whose children are the projections kept (only x1 at order
+    1).  ``suffix[i]`` is the id of suffix(i), or -1 for the empty word; a
+    new function's suffix is the child of its parent's suffix by its letter.
+
+    The search goes a breadth-first level at a time.  The suffixes of a
+    level lie one level up, whose children are all known, so the level's
+    kept (function, variable) pairs are listed at once and multiplied in
+    blocks of at most ``BLOCK_BYTES`` of products.  The products come in
+    (function, variable) order and the first occurrence of each new value
+    vector is kept, which is the order of the one-by-one search.  Each
+    function costs its n**arity values, padded to 8 bytes, so ``budget`` (a
+    function count) also bounds the memory.
     """
     import numpy as np
 
@@ -652,16 +693,27 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     clone = _CloneTable(width, budget)
     projections = np.zeros((arity, width), dtype=np.uint8)
     projections[:, :npoints] = coordinate_grid(n, arity)
-    variables = np.arange(arity)
-    clone.add(projections, np.full(arity, -1), variables)
-    step = max(1, BLOCK_BYTES // (arity * width))
-    head = 0
-    while head < clone.count:
-        stop = min(head + step, clone.count)
-        products = _right_products(clone.rows[head:stop], codes)
-        parent = np.repeat(np.arange(head, stop), arity)
-        clone.add(products, parent, np.tile(variables, stop - head))
-        head = stop
+    clone.add(projections, np.full(arity, -1), np.arange(arity))
+    children = np.full((clone.count + 1, arity), -1, dtype=np.int32)
+    children[0, clone.letters[0]] = np.arange(clone.count)
+    suffix = np.full(clone.count, -1, dtype=np.int32)
+    step = max(1, BLOCK_BYTES // width)
+    level = 0
+    while level < clone.count:
+        level_end = clone.count
+        children[level + 1 : level_end + 1] = -1  # the rows this level fills; _grown leaves them unset
+        pairs = np.flatnonzero(children[suffix[level:level_end] + 1] >= 0)
+        for block in range(0, len(pairs), step):
+            rows, letters = np.divmod(pairs[block : block + step], arity)
+            rows += level
+            start = clone.count
+            clone.add(_right_products(clone.rows[rows], letters, codes), rows, letters)
+            children = _grown(children, clone.count + 1)
+            suffix = _grown(suffix, clone.count)
+            parent, letter = clone.parents[-1], clone.letters[-1]
+            children[parent + 1, letter] = np.arange(start, clone.count)
+            suffix[start : clone.count] = children[suffix[parent] + 1, letter]
+        level = level_end
     return TermFunctions(
         n,
         arity,

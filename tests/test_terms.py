@@ -30,6 +30,9 @@ from eqdomain.terms import TermFunctions, _ProductCodes, _right_products, coordi
 from support import A2, LEFT_ZERO, MIN2, Z2, Z3, per_head_term_functions, raw_word_vectors
 
 words = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
+# a lemma-3 table of order 4, with 26,216 term functions at arity 4
+LEMMA3_TABLE = Semigroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 2, 2], [3, 3, 3, 3]])
+Z17 = Semigroup([[(a + b) % 17 for b in range(17)] for a in range(17)])
 
 
 class TestParser:
@@ -290,10 +293,43 @@ class TestBlockEngine:
 
     def test_matches_oracle_on_order_17(self):
         # past the one-group byte code (n * n <= 256) of the product kernel
-        z17 = Semigroup([[(a + b) % 17 for b in range(17)] for a in range(17)])
-        funcs = term_functions(z17, 2)
+        funcs = term_functions(Z17, 2)
         assert len(funcs) == 17 * 17
-        assert listing(funcs) == listing(per_head_term_functions(z17, 2))
+        assert listing(funcs) == listing(per_head_term_functions(Z17, 2))
+
+    def test_matches_oracle_on_the_lemma_3_table_at_arity_4(self):
+        funcs = term_functions(LEMMA3_TABLE, 4)
+        assert len(funcs) == 26216
+        assert listing(funcs) == listing(per_head_term_functions(LEMMA3_TABLE, 4))
+
+    @pytest.mark.parametrize("S, arity", [(A2, 3), (LEMMA3_TABLE, 4)], ids=["A2", "lemma3"])
+    def test_witness_words_are_factor_closed(self, S, arity):
+        # each witness is a reduced word, so with its first or its last
+        # letter dropped it is the witness of an earlier function
+        index = {}
+        for i, word in enumerate(term_functions(S, arity).words()):
+            if len(word) > 1:
+                assert index[word[1:]] < i
+                assert index[word[:-1]] < i
+            index[word] = i
+
+    @pytest.mark.parametrize(
+        "S, arity, size, most",
+        [(A2, 3, 1614, 1910), (LEMMA3_TABLE, 4, 26216, 29772), (Z17, 2, 289, 291)],
+        ids=["A2", "lemma3", "Z17"],
+    )
+    def test_only_products_with_a_reduced_suffix_are_formed(self, monkeypatch, S, arity, size, most):
+        # the full search forms size * arity products
+        formed = []
+        right_products = eqdomain.terms._right_products
+
+        def counting(cells, letters, codes):
+            formed.append(len(cells))
+            return right_products(cells, letters, codes)
+
+        monkeypatch.setattr(eqdomain.terms, "_right_products", counting)
+        assert len(term_functions(S, arity)) == size
+        assert sum(formed) <= most
 
     def test_words_are_the_witness_words(self):
         funcs = term_functions(A2, 3)
@@ -315,9 +351,10 @@ class TestBlockEngine:
         assert list(funcs.texts()) == [format_word(w) for w in words]
         assert all(parse_term(t, 2).word == w for t, w in zip(funcs.texts(), words))
 
-    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 7])
     def test_blocks_of_a_few_heads_keep_the_order(self, monkeypatch, heads):
-        # blocks that end inside a breadth-first level
+        # blocks of 3 * heads products, which end inside a breadth-first
+        # level and at its end
         width = 5**3 + 3  # A2 at arity 3: 125 values padded to 128 bytes
         monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", heads * 3 * width)
         assert listing(term_functions(A2, 3)) == listing(per_head_term_functions(A2, 3))
@@ -387,6 +424,8 @@ class TestProductKernel:
             expected = np.zeros((5, arity, width), dtype=np.uint8)
             for i in range(arity):
                 expected[:, i, :npoints] = table[heads[:, :npoints], grid[i]]
-            got = _right_products(heads, _ProductCodes(table, arity, width))
+            cells = np.repeat(heads, arity, axis=0)
+            letters = np.tile(np.arange(arity), 5)
+            got = _right_products(cells, letters, _ProductCodes(table, arity, width))
             assert got.shape == (5 * arity, width)
             assert (got == expected.reshape(5 * arity, width)).all()
