@@ -5,8 +5,13 @@ keyed by the classification: two cases for bands (nowhere commutative or
 not), one for non-idempotent semigroups satisfying x^2 = x^3, and one for
 semigroups with an element whose square and cube differ.  Each
 construction names concrete elements, a handful of table identities that
-make the argument work, probe points inside and outside the target union,
-and is completed into a report by running the closure operator.
+make the argument work, and probe points inside and outside the target
+union.  The first three share one shape, built by ``_pair_certificate``:
+a two-element subsemigroup {x, y} with (x, x, y) and (x, y, x) inside m3
+and (x, y, y) outside; only the choice of the pair differs.
+:func:`check_semigroup` checks the identities and memberships and
+certifies with :func:`in_pair_closure` that the outside probe lies in the
+closure of the two inside ones.
 """
 
 from __future__ import annotations
@@ -79,9 +84,38 @@ def _classified(S: Semigroup, cls: Classification | None, case: Case) -> Classif
     return cls
 
 
-def _closed_pair(S: Semigroup, x: int, y: int) -> bool:
-    pair = {x, y}
-    return all(S.mul(u, v) in pair for u in pair for v in pair)
+def _pair_certificate(
+    S: Semigroup,
+    cls: Classification,
+    lemma: str,
+    elements: dict[str, int],
+    x: int,
+    y: int,
+    pair_name: str,
+    identities: tuple[tuple[str, bool], ...],
+) -> WitnessReport:
+    """The m3 report of a lemma built on a two-element subsemigroup {x, y}.
+
+    (x, x, y) and (x, y, x) lie inside the union target and (x, y, y)
+    outside it.  Why (x, y, y) lies in the closure of the other two is the
+    calling lemma's own argument; this only records the probes, appending
+    the check that {x, y}, written ``pair_name``, is closed under product
+    after the lemma's ``identities``.
+    """
+    pair = (x, y)
+    closed = all(S.mul(u, v) in pair for u in pair for v in pair)
+    return WitnessReport(
+        semigroup=S,
+        classification=cls,
+        lemma=lemma,
+        elements=elements,
+        target="m3",
+        verified_identities=(*identities, (f"{{{pair_name}}} closed under product", closed)),
+        inside_points=((x, x, y), (x, y, x)),
+        outside_points=((x, y, y),),
+        separating_point=None,
+        is_equational_domain=False,
+    )
 
 
 def witness_lemma1_case1(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -92,52 +126,31 @@ def witness_lemma1_case1(S: Semigroup, cls: Classification | None = None) -> Wit
     product x*y equals x the table is left-zero; then c = b*a = b gives the
     mirror pair with a*c = a and c*a = c.  Either way (a, c, c) lies
     outside the union target while (a, a, c) and (a, c, a) lie inside.
+    Over a right-zero pair every term takes the value of its last
+    variable, so an equation holding at both inside probes has both sides
+    end in the same variable and holds at (a, c, c) too; over a left-zero
+    pair the same goes for the first variable.
     """
     cls = _classified(S, cls, Case.IDEMPOTENT_NOWHERE_COMMUTATIVE)
     n = S.order
-    found = None
-    for a in range(n):
-        for b in range(n):
-            if b != a and S.mul(a, b) != a:
-                found = (a, b, S.mul(a, b), "right")
-                break
-        if found:
-            break
-    if found is None:
-        a, b = 0, 1
-        c = S.mul(b, a)
-        if c == a:
-            raise WitnessNotFound("no distinct pair spans a two-element subsemigroup")
-        found = (a, b, c, "left")
-    a, b, c, side = found
-    if side == "right":
-        idents = (
-            ("a*a = a", S.mul(a, a) == a),
-            ("c*c = c", S.mul(c, c) == c),
-            ("a*c = c", S.mul(a, c) == c),
-            ("c*a = a", S.mul(c, a) == a),
-            ("{a,c} closed under product", _closed_pair(S, a, c)),
-        )
-    else:
-        idents = (
-            ("a*a = a", S.mul(a, a) == a),
-            ("c*c = c", S.mul(c, c) == c),
-            ("a*c = a", S.mul(a, c) == a),
-            ("c*a = c", S.mul(c, a) == c),
-            ("{a,c} closed under product", _closed_pair(S, a, c)),
-        )
-    return WitnessReport(
-        semigroup=S,
-        classification=cls,
-        lemma="1.1",
-        elements={"a": a, "b": b, "c": c},
-        target="m3",
-        verified_identities=idents,
-        inside_points=((a, a, c), (a, c, a)),
-        outside_points=((a, c, c),),
-        separating_point=None,
-        is_equational_domain=False,
+    a, b = next(
+        ((a, b) for a in range(n) for b in range(n) if b != a and S.mul(a, b) != a),
+        (0, 1),  # no such pair: every product x*y is x
     )
+    right = S.mul(a, b) != a
+    c = S.mul(a, b) if right else S.mul(b, a)
+    if c == a:
+        raise WitnessNotFound("no distinct pair spans a two-element subsemigroup")
+    # the pair is right-zero (u*v = v) or left-zero (u*v = u)
+    ac, ca = ("c", "a") if right else ("a", "c")
+    value = {"a": a, "c": c}
+    identities = (
+        ("a*a = a", S.mul(a, a) == a),
+        ("c*c = c", S.mul(c, c) == c),
+        (f"a*c = {ac}", S.mul(a, c) == value[ac]),
+        (f"c*a = {ca}", S.mul(c, a) == value[ca]),
+    )
+    return _pair_certificate(S, cls, "1.1", {"a": a, "b": b, "c": c}, a, c, "a,c", identities)
 
 
 def witness_lemma1_case2(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -146,7 +159,10 @@ def witness_lemma1_case2(S: Semigroup, cls: Classification | None = None) -> Wit
     c = a*b = b*a satisfies a*c = c*a = c and b*c = c*b = c, so picking
     d in {a, b} with d != c (one exists, else a = b) gives a two-element
     subsemigroup {d, c} in which c is absorbing.  (d, c, c) falls outside
-    the union target, (d, d, c) and (d, c, d) inside.
+    the union target, (d, d, c) and (d, c, d) inside.  Over the pair a term
+    is d exactly where every variable it uses is d, and the variables at d
+    in (d, c, c) are those at d in both inside probes, so an equation
+    holding at both inside probes holds at (d, c, c).
     """
     cls = _classified(S, cls, Case.IDEMPOTENT_COMMUTING_PAIR)
     a, b = cls.pair
@@ -154,26 +170,15 @@ def witness_lemma1_case2(S: Semigroup, cls: Classification | None = None) -> Wit
     d = a if a != c else b
     if d == c:
         raise WitnessNotFound("both members of the commuting pair equal their product")
-    idents = (
+    identities = (
         ("a*b = b*a", S.mul(a, b) == S.mul(b, a)),
         ("d*d = d", S.mul(d, d) == d),
         ("c*c = c", S.mul(c, c) == c),
         ("d*c = c", S.mul(d, c) == c),
         ("c*d = c", S.mul(c, d) == c),
-        ("{d,c} closed under product", _closed_pair(S, d, c)),
     )
-    return WitnessReport(
-        semigroup=S,
-        classification=cls,
-        lemma="1.2",
-        elements={"a": a, "b": b, "c": c, "d": d},
-        target="m3",
-        verified_identities=idents,
-        inside_points=((d, d, c), (d, c, d)),
-        outside_points=((d, c, c),),
-        separating_point=None,
-        is_equational_domain=False,
-    )
+    elements = {"a": a, "b": b, "c": c, "d": d}
+    return _pair_certificate(S, cls, "1.2", elements, d, c, "d,c", identities)
 
 
 def witness_lemma2(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -182,29 +187,18 @@ def witness_lemma2(S: Semigroup, cls: Classification | None = None) -> WitnessRe
     Every product inside {a, a^2} equals a^2, so a term takes the value a
     at a point over the pair only when it is a single variable evaluated
     at a.  (a, a^2, a^2) falls outside the union target, (a, a, a^2) and
-    (a, a^2, a) inside.
+    (a, a^2, a) inside.  An equation holding at both inside probes has
+    both sides equal to x1 or neither, since x1 is the only term that is a
+    at both, so it holds at (a, a^2, a^2).
     """
     cls = _classified(S, cls, Case.BOUNDED_NON_IDEMPOTENT)
     a = cls.element
     a2 = S.power(a, 2)
-    a3 = S.power(a, 3)
-    idents = (
+    identities = (
         ("a != a^2", a != a2),
-        ("a^2 = a^3", a2 == a3),
-        ("{a,a^2} closed under product", _closed_pair(S, a, a2)),
+        ("a^2 = a^3", a2 == S.power(a, 3)),
     )
-    return WitnessReport(
-        semigroup=S,
-        classification=cls,
-        lemma="2",
-        elements={"a": a, "a2": a2},
-        target="m3",
-        verified_identities=idents,
-        inside_points=((a, a, a2), (a, a2, a)),
-        outside_points=((a, a2, a2),),
-        separating_point=None,
-        is_equational_domain=False,
-    )
+    return _pair_certificate(S, cls, "2", {"a": a, "a2": a2}, a, a2, "a,a^2", identities)
 
 
 def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessReport:

@@ -20,6 +20,7 @@ from eqdomain import (
     TermFunction,
     coordinate_grid,
     decode_point,
+    in_pair_closure,
 )
 
 LEFT_ZERO = Semigroup([[0, 0], [1, 1]])
@@ -175,6 +176,22 @@ def grouped_closure(S, Y: PointSet):
     for i in np.flatnonzero(keep):
         mask |= 1 << int(i)
     return pairs, mask
+
+
+def uniform_pair(S):
+    """An idempotent x and a y != x that certify the m3 pair shape, or None.
+
+    The shape is the one lemmas 1.1, 1.2 and 2 use: (x, y, y) lies in the
+    closure of (x, x, y) and (x, y, x), here checked directly by
+    ``in_pair_closure`` for every candidate pair, in lexicographic order.
+    """
+    for x in range(S.order):
+        if S.mul(x, x) != x:
+            continue
+        for y in range(S.order):
+            if y != x and in_pair_closure(S, (x, x, y), (x, y, x), (x, y, y)):
+                return x, y
+    return None
 
 
 def power_by_table(S, a, e):

@@ -40,11 +40,14 @@ from support import (
     naive_closure_mask,
     naive_is_algebraic,
     random_point_set,
+    uniform_pair,
 )
 
 RAW_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492}
 ISO_COUNTS = {2: 5, 3: 24}
 ANTI_COUNTS = {2: 4, 3: 18}
+# iso-anti classes at orders 2-5 (OEIS A001423)
+ANTI_CLASSES = {2: 4, 3: 18, 4: 126, 5: 1160}
 
 
 def verdict(number, label, ok):
@@ -245,3 +248,17 @@ def test_criterion_8_regression_counts_and_determinism(verify3):
         "and byte-identical output across --jobs",
         counts_ok and deterministic,
     )
+
+
+@pytest.mark.parametrize("order", sorted(ANTI_CLASSES))
+def test_uniform_pair_certificate_on_every_class(order):
+    """Beyond the paper: every class up to order 5 has an idempotent x and
+    a y != x with (x, y, y) in the closure of (x, x, y) and (x, y, x), the
+    unbounded tables of lemma 3 included.  Finding such a pair is invariant
+    under isomorphism and anti-isomorphism, so the classes cover every table.
+    """
+    tables = list(enumerate_tables(order, "up_to_iso_and_anti"))
+    missing = [S.table for S in tables if uniform_pair(S) is None]
+    print(f"order {order}: {len(tables)} classes, {len(missing)} without a certified pair")
+    assert len(tables) == ANTI_CLASSES[order]
+    assert not missing

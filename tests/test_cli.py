@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -17,7 +18,7 @@ import eqdomain.cli as cli
 from eqdomain import DEFAULT_BUDGET, enumerate_tables, format_table
 from eqdomain.cli import _map_tables, main
 from eqdomain.enumeration import split_search
-from support import LEFT_ZERO, MIN2, Z2
+from support import A2, CHAIN3, LEFT_ZERO, MIN2, NULL2, RECT_BAND_2X2, RIGHT_ZERO, Z2
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -261,6 +262,38 @@ class TestVerifyTheorem:
         assert pulled == 113
         serial = _map_tables((S.table for S in enumerate_tables(3)), DEFAULT_BUDGET, 1, 4)
         assert [first, *rest] == list(serial)
+
+
+# md5 of whole report streams, frozen from the output of the separate lemma
+# 1.1, 1.2 and 2 builders that the shared pair construction replaced
+FROZEN_STREAMS = [
+    (("verify-theorem", "--max-order", "4", "--mode", "raw", "--jobs", "1"), "de851aad344dade0641a7950d77bc6a5"),
+    (
+        ("verify-theorem", "--max-order", "4", "--mode", "raw", "--jobs", "1", "--format", "text"),
+        "6ce52251c1fe5e5d48c7cb03bf172426",
+    ),
+    (("verify-theorem", "--max-order", "5", "--mode", "iso"), "48e3e562ae6d1c4645bf86abc9d64dc4"),
+]
+# every lemma, and both sides of lemma 1.1: left-zero, right-zero and
+# rectangular bands (1.1), semilattices (1.2), a null pair and A2 (2), Z2 (3)
+LEMMA_CORPUS = [LEFT_ZERO, RIGHT_ZERO, RECT_BAND_2X2, MIN2, CHAIN3, NULL2, Z2, A2]
+FROZEN_CHECK = {"json": "66d80500a0587a5fbb5d757a76fc2d57", "text": "78077d421dec2e9caff12d68c23034a9"}
+
+
+class TestFrozenStreams:
+    @pytest.mark.parametrize("argv, digest", FROZEN_STREAMS, ids=["order4-raw", "order4-raw-text", "order5-iso"])
+    def test_verify_theorem(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", sorted(FROZEN_CHECK))
+    def test_check_one_table_per_lemma(self, capsys, tmp_path, fmt):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n\n".join(format_table(S) for S in LEMMA_CORPUS) + "\n")
+        code, out, _ = run(capsys, "check", str(corpus), "--format", fmt)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == FROZEN_CHECK[fmt]
 
 
 class TestEnumerate:
