@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -24,16 +24,7 @@ from .enumeration import (
     read_corpus,
     split_search,
 )
-from .geometry import PointSet, algebraic_closure, solution_set, union_target_m3, union_target_m4
 from .semigroups import Semigroup, TableError
-from .terms import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    TermSyntaxError,
-    parse_equations,
-    term_functions,
-)
-from .witnesses import WitnessNotFound, check_semigroup
 
 EXIT_OK = 0
 EXIT_PIPE_CLOSED = 1
@@ -52,6 +43,40 @@ SHARDS_PER_JOB = 32
 SHARDS_AHEAD_PER_JOB = 4
 
 _trusted = Semigroup._trusted  # bound at import, as in enumeration
+
+# The commands that check tables.  Only they load terms, geometry and
+# witnesses, and only they resolve the budget, so enumerate starts without
+# compiling those modules.  The names they use from them:
+_CHECKING_COMMANDS = ("check", "verify-theorem", "closure", "term-functions")
+_CHECKING_NAMES = {
+    "terms": ("DEFAULT_BUDGET", "BudgetExceeded", "TermSyntaxError", "parse_equations", "term_functions"),
+    "geometry": ("PointSet", "algebraic_closure", "solution_set", "union_target_m3", "union_target_m4"),
+    "witnesses": ("WitnessNotFound", "check_semigroup"),
+}
+
+
+def _bind_checking():
+    """Bind the names of ``_CHECKING_NAMES`` in this module, loading their modules.
+
+    A name already bound is kept, so a name rebound from outside (as
+    perfbench/tracer.py rebinds ``check_semigroup``) stays rebound.  main
+    calls this before any worker forks, so the workers inherit the modules
+    instead of compiling them again.
+    """
+    bound = globals()
+    for module, names in _CHECKING_NAMES.items():
+        module = f"{__package__}.{module}"
+        __import__(module)  # unlike importlib.import_module, listed by -X importtime
+        for name in names:
+            bound.setdefault(name, getattr(sys.modules[module], name))
+
+
+def __getattr__(name):
+    # ``cli.check_semigroup`` and the like, read from outside before bound
+    if any(name in names for names in _CHECKING_NAMES.values()):
+        _bind_checking()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _default_budget() -> int:
@@ -108,6 +133,7 @@ def _record(result: dict) -> dict:
 
 
 def _check_tables(args):
+    _bind_checking()  # a no-op after a fork; a worker started afresh binds here
     return [_check_table(a) for a in args]
 
 
@@ -262,6 +288,7 @@ def cmd_check(ns) -> int:
 
 def _theorem_results(order: int, mode: str, start, stop, budget: int):
     """The check result of each table of one shard of the search, in order."""
+    _bind_checking()  # a no-op after a fork; a worker started afresh binds here
     for S in enumerate_tables(order, mode, True, start, stop):
         yield _check_table((S.table, budget))
 
@@ -520,6 +547,17 @@ def cmd_term_functions(ns) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Names the default budget, which terms holds, only when help is shown,
+    so that building the parser loads no terms."""
+
+    def _get_help_string(self, action):
+        if action.dest != "budget":
+            return action.help
+        _bind_checking()
+        return f"{action.help} (default ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqdomain",
@@ -534,37 +572,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default="json", help="output format (default json)"
     )
     common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"cap on the size of the computed clone (default ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET})",
+        "--budget", type=int, default=None, help="cap on the size of the computed clone"
     )
     common.add_argument("--strict", action="store_true", help="fail on any invalid corpus table")
     common.add_argument("--allow-large", action="store_true", help="lift the soft order/arity limits")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, parents=[common], formatter_class=_HelpFormatter)
 
-    p = sub.add_parser("check", parents=[common], help="verify one table (or a corpus) end to end")
+    p = add("check", help="verify one table (or a corpus) end to end")
     p.add_argument("file", help="Cayley table file")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "verify-theorem", parents=[common], help="check every semigroup up to a maximum order"
-    )
+    p = add("verify-theorem", help="check every semigroup up to a maximum order")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_CLI_MODES), default="raw")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = sub.add_parser("enumerate", parents=[common], help="stream all tables of one order")
+    p = add("enumerate", help="stream all tables of one order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_CLI_MODES), default="raw")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser(
-        "closure", parents=[common], help="algebraic closure of a point set over one table"
-    )
+    p = add("closure", help="algebraic closure of a point set over one table")
     p.add_argument("file", help="Cayley table file")
     p.add_argument(
         "--set",
@@ -574,9 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, default=None)
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser(
-        "term-functions", parents=[common], help="count the term functions of one table"
-    )
+    p = add("term-functions", help="count the term functions of one table")
     p.add_argument("file", help="Cayley table file")
     p.add_argument("--arity", type=int, required=True)
     p.set_defaults(func=cmd_term_functions)
@@ -588,28 +618,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.budget is None:
-            ns.budget = _default_budget()
-        elif ns.budget < 1:
+        if ns.budget is not None and ns.budget < 1:
             raise ValueError("--budget must be >= 1")
+        if ns.command in _CHECKING_COMMANDS:
+            _bind_checking()
+            if ns.budget is None:
+                ns.budget = _default_budget()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     if getattr(ns, "jobs", 1) < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_INVALID
+    # BudgetExceeded and WitnessNotFound need no clause here: each command
+    # turns them into its own output where it calls what raises them
     try:
         return ns.func(ns)
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except WitnessNotFound as e:
-        print(f"internal inconsistency: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except WorkerLost as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (CorpusError, TableError, TermSyntaxError, ValueError) as e:
+    except (CorpusError, TableError, ValueError) as e:  # TermSyntaxError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -24,11 +24,10 @@ that minimum: it stops at the first smaller candidate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .semigroups import Semigroup, TableError
 
@@ -55,8 +54,7 @@ MODES = ("raw", "up_to_iso", "up_to_iso_and_anti")
 SOFT_ORDER_LIMIT = 5  # table counts explode beyond this
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Lexicographically least relabeling of a table under the given mode."""
 
     table: tuple[tuple[int, ...], ...]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .semigroups import Semigroup
@@ -273,12 +274,24 @@ def in_union_target(point, name: str) -> bool:
 
 
 class _AgreeingPairs(Sequence):
-    """Pairs (term function ``reps[i]``, term function ``members[i]``), built on access."""
+    """Pairs (term function ``rep[m]``, term function ``m``) for the members m.
 
-    def __init__(self, funcs: TermFunctions, reps: np.ndarray, members: np.ndarray):
+    Pairs come by group, groups in the order of their representatives.
+    The members are put in that order on the first access to a pair, so
+    a caller that wants only the number of pairs never sorts them.  The
+    pairs themselves are built on access.
+    """
+
+    def __init__(self, funcs: TermFunctions, rep: np.ndarray, members: np.ndarray):
         self.funcs = funcs
-        self.reps = reps
+        self.rep = rep
         self.members = members
+
+    @cached_property
+    def _by_group(self) -> np.ndarray:
+        import numpy as np
+
+        return self.members[np.argsort(self.rep[self.members], kind="stable")]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -286,8 +299,8 @@ class _AgreeingPairs(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        return self.funcs[int(self.reps[i])], self.funcs[int(self.members[i])]
+        m = int(self._by_group[range(len(self))[i]])
+        return self.funcs[int(self.rep[m])], self.funcs[m]
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -360,10 +373,8 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
         # a hash shared by different restrictions: regroup exactly, fold again
         _regroup(rep, hashes, split, restrict)
         keep, members, _ = fold(rep)
-    # pairs by group, groups in the order of their representatives
-    members = members[np.argsort(rep[members], kind="stable")]
     closure = PointSet._from_bool(keep, Y.n, Y.k)
-    return ClosureCertificate(_AgreeingPairs(funcs, rep[members], members), closure)
+    return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)
 
 
 def in_pair_closure(

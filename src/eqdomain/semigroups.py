@@ -7,9 +7,8 @@ hashed, shared between threads, and used as cache keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,8 +130,7 @@ class Semigroup:
         return f"Semigroup({[list(r) for r in self.table]})"
 
 
-@dataclass(frozen=True)
-class ElementProfile:
+class ElementProfile(NamedTuple):
     """Power structure of one element.
 
     ``cycle_powers`` lists a^1, a^2, ... up to (not including) the first
@@ -235,8 +233,7 @@ class Case(Enum):
     UNBOUNDED = "Unbounded"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     case: Case
     pair: tuple[int, int] | None = None  # commuting distinct pair, when carried
     element: int | None = None  # witness element, when carried

@@ -115,9 +115,31 @@ class TestCheck:
         assert json.loads(out)["status"] == "budget_exceeded"
 
     def test_bad_budget_env(self, capsys, table_file, monkeypatch):
+        path = table_file(Z2)
+        _, stream, _ = run(capsys, "enumerate", "--order", "2")
         monkeypatch.setenv("EQDOMAIN_BUDGET", "lots")
-        code, _, err = run(capsys, "check", table_file(Z2))
-        assert code == 2
+        for argv in budgeted_commands(path):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "EQDOMAIN_BUDGET='lots' is not an integer" in err
+        # enumerate computes no clone, so it never reads the budget
+        assert run(capsys, "enumerate", "--order", "2") == (0, stream, "")
+
+    def test_budget_zero_is_exit_2_on_every_command(self, capsys, table_file):
+        path = table_file(Z2)
+        for argv in [*budgeted_commands(path), ("enumerate", "--order", "2")]:
+            code, out, err = run(capsys, *argv, "--budget", "0")
+            assert (code, out, err) == (2, "", "error: --budget must be >= 1\n"), argv
+
+
+def budgeted_commands(path):
+    """One call of each command that resolves the budget, on the table at ``path``."""
+    return [
+        ("check", path),
+        ("verify-theorem", "--max-order", "2"),
+        ("closure", path, "--set", "m3"),
+        ("term-functions", path, "--arity", "2"),
+    ]
 
 
 # Runs the CLI with check_semigroup patched to end its process at once on
@@ -465,9 +487,10 @@ print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
 """
 
 
-def probe(*argv):
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter and parse the JSON it prints."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=src_env(),
@@ -475,6 +498,10 @@ def probe(*argv):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def probe(*argv):
+    return run_python(PROBE, json.dumps(argv))
 
 
 class TestColdStart:
@@ -537,6 +564,152 @@ class TestColdStart:
             "order 2  arity 2  distinct term functions: 4\n  x1\n  x2\n  x1^2\n  x1 x2\n"
         )
         assert "numpy" in result["loaded"]
+
+    def test_enumerate_loads_only_what_it_runs(self):
+        result = run_python(IMPORT_SETS)
+        assert result["code"] == 0
+        assert "eqdomain.cli" in result["import"]
+        assert not NOT_AT_START & {*result["import"], *result["enumerate"]}
+
+
+# What importing the CLI, and then an enumerate run, add to the modules a
+# bare interpreter (site imports included) has loaded
+IMPORT_SETS = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+import eqdomain.cli as cli
+imported = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["enumerate", "--order", "3"])
+after = set(sys.modules)
+print(json.dumps({"code": code, "import": sorted(imported - bare), "enumerate": sorted(after - bare)}))
+"""
+# enumerate needs none of these, and without cached bytecode each one is
+# compiled again at every start
+NOT_AT_START = {"eqdomain.terms", "eqdomain.geometry", "eqdomain.witnesses", "numpy", "dataclasses", "inspect"}
+
+# Rebinds check_semigroup in the CLI before anything read it, as
+# perfbench/tracer.py does, and counts the calls that reach it
+REBOUND_BEFORE_USE = """
+import contextlib, io, json
+import eqdomain.cli as cli
+import eqdomain.witnesses as witnesses
+calls = []
+def counted(S, budget):
+    calls.append(S)
+    return witnesses.check_semigroup(S, budget=budget)
+cli.check_semigroup = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify-theorem", "--max-order", "2"])
+print(json.dumps({"code": code, "calls": len(calls)}))
+"""
+
+# Records, as each worker is started, whether the CLI has bound what its
+# checks call, so that a forked worker inherits it instead of compiling it
+BOUND_BEFORE_FORK = """
+import contextlib, io, json, sys
+import eqdomain.cli as cli
+start, bound = cli._start_worker, []
+def recording(fn):
+    names = ("check_semigroup", "BudgetExceeded", "WitnessNotFound")
+    bound.append(all(n in vars(cli) for n in names) and "eqdomain.witnesses" in sys.modules)
+    return start(fn)
+cli._start_worker = recording
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["verify-theorem", "--max-order", "3", "--jobs", "2"]))
+    codes.append(cli.main(["check", sys.argv[1], "--jobs", "2"]))
+print(json.dumps({"codes": codes, "bound": bound}))
+"""
+
+# Every name the package exported when it imported all its modules at once
+PACKAGE_EXPORTS = {
+    "semigroups": (
+        "AssociativityViolation Case Classification ElementProfile OutOfRangeEntry Semigroup "
+        "TableError classify element_profile is_idempotent is_nowhere_commutative "
+        "is_rectangular_band monogenic_equal monogenic_table satisfies_x2_x3"
+    ),
+    "terms": (
+        "DEFAULT_BUDGET MAX_EXPONENT BudgetExceeded EmptyTermError Equation ExponentVector System "
+        "Term TermFunction TermFunctions TermSyntaxError VariableOutOfRange all_points "
+        "coordinate_grid decode_point encode_point eval_term exponent_vector format_word "
+        "parse_equation parse_equations parse_term power_eval term_functions"
+    ),
+    "geometry": (
+        "ClosureCertificate PointSet algebraic_closure in_pair_closure is_algebraic solution_set "
+        "union_target_m3 union_target_m4"
+    ),
+    "witnesses": (
+        "WitnessNotFound WitnessReport check_semigroup verify_eq1_argument witness_lemma1_case1 "
+        "witness_lemma1_case2 witness_lemma2 witness_lemma3"
+    ),
+    "enumeration": (
+        "MODES CanonicalForm CorpusError CorpusWarning canonicalize enumerate_tables format_table "
+        "parse_corpus read_corpus"
+    ),
+}
+
+# Resolves each export in a fresh interpreter, where none is loaded yet, and
+# prints the names that fail one of the three ways to reach them
+RESOLVE_EXPORTS = """
+import importlib, json, sys
+import eqdomain
+exports = json.loads(sys.argv[1])
+listed = set(dir(eqdomain))
+failed = []
+for module, names in exports.items():
+    source = importlib.import_module("eqdomain." + module)
+    for name in names.split():
+        scope = {}
+        exec(f"from eqdomain import {name}", scope)
+        if not (name in listed and scope[name] is getattr(eqdomain, name) is getattr(source, name)):
+            failed.append(name)
+try:
+    eqdomain.no_such_name
+    failed.append("no_such_name")
+except AttributeError:
+    pass
+print(json.dumps({"failed": failed, "version": eqdomain.__version__}))
+"""
+
+
+def counting(fn, calls):
+    """``fn``, appending the arguments of each call to ``calls``."""
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+class TestLazyBinding:
+    def test_commands_call_the_names_bound_in_the_cli(self, capsys, monkeypatch, table_file):
+        calls = {}
+        for name in ("check_semigroup", "enumerate_tables", "algebraic_closure", "term_functions"):
+            calls[name] = []
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name), calls[name]))
+        path = table_file(Z2)
+        assert run(capsys, "verify-theorem", "--max-order", "2", "--mode", "raw")[0] == 0
+        assert (len(calls["check_semigroup"]), len(calls["enumerate_tables"])) == (8, 1)
+        assert run(capsys, "closure", path, "--set", "m3")[0] == 0
+        assert len(calls["algebraic_closure"]) == 1
+        assert run(capsys, "term-functions", path, "--arity", "2")[0] == 0
+        assert len(calls["term_functions"]) == 1
+
+    def test_a_name_rebound_before_use_stays_rebound(self):
+        assert run_python(REBOUND_BEFORE_USE) == {"code": 0, "calls": 8}
+
+    def test_workers_start_after_the_checks_are_bound(self, table_file):
+        corpus = table_file(Z2, "corpus.txt")
+        Path(corpus).write_text(format_table(Z2) + "\n\n" + format_table(LEFT_ZERO) + "\n")
+        result = run_python(BOUND_BEFORE_FORK, corpus)
+        assert result["codes"] == [0, 0]
+        assert result["bound"] == [True, True, True, True]
+
+    def test_package_exports_resolve_on_first_use(self):
+        result = run_python(RESOLVE_EXPORTS, json.dumps(PACKAGE_EXPORTS))
+        assert result == {"failed": [], "version": "0.1.0"}
 
 
 @pytest.fixture(scope="module")
