@@ -332,39 +332,49 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     quadratic over function pairs.  Groups are found by a hash of the
     restriction and confirmed by comparing restrictions; the first member
     of a group, in discovery order, is its representative.
+
+    Restrictions are never gathered.  Each row is read as uint64 words and
+    ANDed with a mask that is 0xFF on the bytes of Y and 0 elsewhere, the
+    pad included, so two rows agree on Y exactly when their masked words
+    are equal.  A member differs from its representative at the nonzero
+    bytes of their XOR: the points that stay in the closure are the zero
+    bytes of the OR of all these XORs, and the members whose masked XOR is
+    nonzero share a hash but not a restriction with the representative.
     """
     import numpy as np
 
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
     funcs = term_functions(S, Y.k, budget=budget)
-    values = funcs.rows
+    words = funcs.rows.view(np.uint64)
     npoints = Y.n**Y.k
-    y_idx = np.flatnonzero(Y._bool_array())
-    step = max(1, BLOCK_BYTES // values.shape[1])
+    on_y = np.zeros(funcs.rows.shape[1], dtype=np.uint8)
+    on_y[:npoints] = 0xFF * Y._bool_array()
+    on_y = on_y.view(np.uint64)
+    step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
 
     def restrict(rows) -> np.ndarray:
-        # the values on Y of the given rows, zero padded to whole 8-byte words
-        picked = values[rows][:, y_idx]
-        out = np.zeros((len(picked), -(-len(y_idx) // 8) * 8), dtype=np.uint8)
-        out[:, : len(y_idx)] = picked
-        return out
+        # the given rows with every byte outside Y zeroed
+        return (words[rows] & on_y).view(np.uint8)
 
     def fold(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (points where every member agrees with its representative,
         #  the members, the members whose restriction differs from it)
         members = np.flatnonzero(rep != np.arange(len(rep)))
-        keep = np.ones(npoints, dtype=bool)
+        differ = np.zeros(len(on_y), dtype=np.uint64)
         split = []
         for s in range(0, len(members), step):
             part = members[s : s + step]
-            agree = values[part, :npoints] == values[rep[part], :npoints]
-            split.append(part[~agree[:, y_idx].all(axis=1)])
-            keep &= agree.all(axis=0)
+            diff = words[part]
+            diff ^= words[rep[part]]
+            differ |= np.bitwise_or.reduce(diff, axis=0)
+            diff &= on_y
+            split.append(part[diff.any(axis=1)])
+        keep = differ.view(np.uint8)[:npoints] == 0
         return keep, members, np.concatenate([members[:0], *split])
 
     hashes = np.concatenate(
-        [_row_hashes(restrict(slice(s, s + step))) for s in range(0, len(values), step)]
+        [_row_hashes(restrict(slice(s, s + step))) for s in range(0, len(words), step)]
     )
     _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
     rep = first[inverse]

@@ -8,6 +8,7 @@ the closure of the coordinate projections under the pointwise product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -332,12 +333,27 @@ class TermFunction:
         return self.values[encode_point(point, self.order, self.arity)]
 
 
+@functools.lru_cache(maxsize=32)
+def _hash_keys(count: int) -> np.ndarray:
+    """The odd key of each of ``count`` words: the splitmix64 output for
+    the word's 1-based position, made odd.  Read-only, as it is shared."""
+    import numpy as np
+
+    keys = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        keys = (keys ^ keys >> np.uint64(shift)) * np.uint64(multiplier)
+    keys ^= keys >> np.uint64(31)
+    keys |= np.uint64(1)
+    keys.flags.writeable = False
+    return keys
+
+
 def _row_hashes(rows: np.ndarray) -> np.ndarray:
     """A fixed 64-bit hash of each row of a C-contiguous uint8 matrix.
 
     The width must be a multiple of 8, so the rows read as uint64 words
-    without a copy.  Word j is multiplied by its own odd key, the splitmix64
-    output for j, and xored with its high half, a bijection, and the
+    without a copy.  Word j is multiplied by its own odd key
+    (:func:`_hash_keys`) and xored with its high half, a bijection, and the
     results are summed mod 2**64: rows that differ in a single word never
     collide.  An equal hash is only a hint; callers confirm it by comparing
     the rows.
@@ -345,11 +361,7 @@ def _row_hashes(rows: np.ndarray) -> np.ndarray:
     import numpy as np
 
     words = rows.view(np.uint64)
-    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        keys = (keys ^ keys >> np.uint64(shift)) * np.uint64(multiplier)
-    keys ^= keys >> np.uint64(31)
-    keys |= np.uint64(1)
+    keys = _hash_keys(words.shape[1])
     out = np.empty(len(words), dtype=np.uint64)
     step = max(1, _HASH_CHUNK_BYTES // max(1, rows.shape[1]))  # a cache-sized slice at a time
     for s in range(0, len(words), step):
@@ -399,12 +411,27 @@ class _CloneTable:
         self.keys = np.zeros(0, dtype=np.uint64)
         self.ids = np.zeros(0, dtype=np.intp)
 
-    def _settle(self, keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """The slot where each of the rows ``self.rows[ids]`` stops.
+    def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """The uint64 words of the rows numbered ``ids``: the stored rows
+        below ``count``, and from ``count`` on the rows of ``block``."""
+        import numpy as np
+
+        words = np.empty((len(ids), block.shape[1] // 8), dtype=np.uint64)
+        inner = ids >= self.count
+        words[inner] = block.view(np.uint64)[ids[inner] - self.count]
+        words[~inner] = self.rows.view(np.uint64)[ids[~inner]]
+        return words
+
+    def _settle(self, keys: np.ndarray, ids: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
+        """The slot where each of the rows numbered ``ids`` stops.
 
         Of the rows that reach one free slot in a round, the first claims
         it.  Equal rows share a key, so they probe in lockstep: the first
-        of them claims a slot and the rest stop there.
+        of them claims a slot and the rest stop there.  With a ``block``,
+        the rows are its rows under the numbering of :meth:`_rows_of`, and
+        a row also stops at a slot whose row equals it.  Without one, the
+        rows are stored rows, all different, so each stops only at the slot
+        it claims.
         """
         import numpy as np
 
@@ -422,9 +449,11 @@ class _CloneTable:
             self.ids[free_at] = ids[won]
             held = self.ids[at]
             stop = held == ids[todo]
-            same = np.flatnonzero(~stop & (self.keys[at] == keys[todo]))
-            theirs = self.rows[held[same]].view(np.uint64)
-            stop[same] = (theirs == self.rows[ids[todo[same]]].view(np.uint64)).all(axis=1)
+            if block is not None:
+                same = np.flatnonzero(~stop & (self.keys[at] == keys[todo]))
+                if len(same):
+                    theirs = self._rows_of(held[same], block)
+                    stop[same] = (theirs == block.view(np.uint64)[todo[same]]).all(axis=1)
             todo = todo[~stop]
             slot[todo] = (slot[todo] + 1) & mask
         return slot
@@ -446,32 +475,45 @@ class _CloneTable:
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
         """Append the rows not seen before, in order, first occurrence kept.
 
-        The block is copied past the stored rows and probed under
-        provisional numbers.  The rows that claim a slot are then numbered
-        in block order and moved down over the rest.  The matrix keeps a
-        block's room past its rows and grows in place, so a large matrix is
+        The block is probed where it lies, row i under the provisional
+        number ``count + i``.  The rows that claim a slot are then numbered
+        in block order and copied once, to the end of the stored rows.  The
+        matrix grows in place by the rows kept, so a large matrix is
         remapped rather than copied.  No view of it outlives a step of the
         search; the reference check is off because a profiler's bound-method
         call adds a reference.
         """
         import numpy as np
 
-        start, stop = self.count, self.count + len(rows)
+        start = self.count
         self._reserve(len(rows))
-        if len(self.rows) < stop:
-            self.rows.resize((stop, self.rows.shape[1]), refcheck=False)
-        self.rows[start:stop] = rows
-        ids = np.arange(start, stop)
-        slot = self._settle(_row_hashes(rows), ids)
+        ids = np.arange(start, start + len(rows))
+        slot = self._settle(_row_hashes(rows), ids, rows)
         new = np.flatnonzero(self.ids[slot] == ids)
         end = start + len(new)
         if end > self.budget:
             raise BudgetExceeded(self.budget + 1)
         self.ids[slot[new]] = np.arange(start, end)
-        self.rows[start:end] = self.rows[start + new]
+        if len(self.rows) < end:
+            self.rows.resize((end, self.rows.shape[1]), refcheck=False)
+        # the indices are in range; the default mode="raise" would first
+        # build the result in a temporary and then copy it into out
+        np.take(rows, new, axis=0, out=self.rows[start:end], mode="clip")
         self.parents.append(parent[new])
         self.letters.append(letter[new])
         self.count = end
+
+    def functions(self, order: int, arity: int) -> TermFunctions:
+        """The stored rows as term functions; the table takes no more rows.
+
+        The index is dropped first, so the joined parents and letters can
+        take its memory instead of raising the peak.
+        """
+        import numpy as np
+
+        self.keys = self.ids = None
+        parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
+        return TermFunctions(order, arity, self.rows[: self.count], parents, letters)
 
 
 class _ProductCodes:
@@ -483,7 +525,8 @@ class _ProductCodes:
     group g to the products v*y.  With n <= 16 one group holds every y and
     ``offsets[i]`` is n times coordinate i of each point, zero on the pad,
     so one add codes a whole block.  Otherwise ``offsets`` is the column
-    ``n*(y - y0)`` over a group.
+    ``n*(y - y0)`` over a group.  ``buffer`` holds the codes of the last
+    block, and the next block of the same size is coded in it.
     """
 
     def __init__(self, table: np.ndarray, arity: int, width: int):
@@ -492,6 +535,7 @@ class _ProductCodes:
         n = len(table)
         self.order, self.arity, self.npoints = n, arity, n**arity
         self.size = 256 // n
+        self.buffer = bytearray()
         self.tables = []
         for y0 in range(0, n, self.size):
             ys = np.arange(y0, min(y0 + self.size, n))
@@ -520,19 +564,28 @@ def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes
 
     Each cell is coded as a byte that names both factors (see
     :class:`_ProductCodes`), and one ``bytearray.translate`` turns the codes
-    into products.  With n <= 16 that is one add of each row's offsets and
-    one translate for the whole block, after which the pad is zeroed again.
-    With more elements, coordinate i is digit i of the big-endian point
-    index, so for the rows of letter i the points whose coordinate i lies
-    in one group of values form a slab of a 4-d view, coded and translated
-    a group at a time.
+    into products.  With n <= 16 the offsets of each row's variable are
+    taken into ``codes.buffer``, the cells are added in place, and one
+    translate maps the whole block, after which the pad is zeroed again.
+    The buffer is reused while the block size stays the same: a fresh
+    block-sized temporary each step is paged in anew whenever the allocator
+    has handed the top of the heap back to the system.  With more
+    elements, coordinate i is digit i of the big-endian point index, so for
+    the rows of letter i the points whose coordinate i lies in one group of
+    values form a slab of a 4-d view, coded and translated a group at a
+    time.
     """
     import numpy as np
 
     count, width = cells.shape
     n, arity, npoints = codes.order, codes.arity, codes.npoints
     if len(codes.tables) == 1:
-        out = _translated(cells, codes.offsets[letters], codes.tables[0])
+        if len(codes.buffer) != cells.size:
+            codes.buffer = bytearray(cells.size)
+        coded = np.frombuffer(codes.buffer, dtype=np.uint8).reshape(count, width)
+        np.take(codes.offsets, letters, axis=0, out=coded, mode="clip")
+        coded += cells
+        out = np.frombuffer(codes.buffer.translate(codes.tables[0]), dtype=np.uint8).reshape(count, width)
         out[:, npoints:] = 0
         return out
     out = np.zeros((count, width), dtype=np.uint8)
@@ -698,6 +751,7 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     children[0, clone.letters[0]] = np.arange(clone.count)
     suffix = np.full(clone.count, -1, dtype=np.int32)
     step = max(1, BLOCK_BYTES // width)
+    heads = np.empty((step, width), dtype=np.uint8)  # each block's cells, gathered in one buffer
     level = 0
     while level < clone.count:
         level_end = clone.count
@@ -707,17 +761,12 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
             rows, letters = np.divmod(pairs[block : block + step], arity)
             rows += level
             start = clone.count
-            clone.add(_right_products(clone.rows[rows], letters, codes), rows, letters)
+            cells = np.take(clone.rows, rows, axis=0, out=heads[: len(rows)], mode="clip")
+            clone.add(_right_products(cells, letters, codes), rows, letters)
             children = _grown(children, clone.count + 1)
             suffix = _grown(suffix, clone.count)
             parent, letter = clone.parents[-1], clone.letters[-1]
             children[parent + 1, letter] = np.arange(start, clone.count)
             suffix[start : clone.count] = children[suffix[parent] + 1, letter]
         level = level_end
-    return TermFunctions(
-        n,
-        arity,
-        clone.rows[: clone.count],
-        np.concatenate(clone.parents),
-        np.concatenate(clone.letters),
-    )
+    return clone.functions(n, arity)

@@ -1,9 +1,13 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 import eqdomain.geometry
 import eqdomain.terms
 from eqdomain import enumerate_tables
+from eqdomain.cli import main
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +19,24 @@ def semigroups_le3():
 @pytest.fixture(scope="session")
 def semigroups_order4():
     return list(enumerate_tables(4))
+
+
+@pytest.fixture(scope="session")
+def order6_stream():
+    """``enumerate --order 6 --mode M --allow-large`` as (exit code, stdout
+    lines), run once per mode M for the whole session: about 5 s a mode,
+    shared by the frozen counts and the order-6 pair sweep."""
+    runs = {}
+
+    def stream(mode):
+        if mode not in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["enumerate", "--order", "6", "--mode", mode, "--allow-large"])
+            runs[mode] = code, out.getvalue().splitlines()
+        return runs[mode]
+
+    return stream
 
 
 @pytest.fixture

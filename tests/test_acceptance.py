@@ -262,3 +262,15 @@ def test_uniform_pair_certificate_on_every_class(order):
     print(f"order {order}: {len(tables)} classes, {len(missing)} without a certified pair")
     assert len(tables) == ANTI_CLASSES[order]
     assert not missing
+
+
+def test_uniform_pair_certificate_at_order_6(order6_stream):
+    """The same sweep over the 15,973 iso-anti classes of order 6, read from
+    the ``enumerate`` stream whose count test_cli.py checks."""
+    code, lines = order6_stream("iso-anti")
+    assert code == 0
+    tables = [tuple(map(tuple, json.loads(line)["table"])) for line in lines]
+    missing = [t for t in tables if uniform_pair(Semigroup._trusted(t)) is None]
+    print(f"order 6: {len(tables)} classes, {len(missing)} without a certified pair")
+    assert len(tables) == 15_973
+    assert not missing

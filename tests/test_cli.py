@@ -300,6 +300,8 @@ FROZEN_STREAMS = [
 # rectangular bands (1.1), semilattices (1.2), a null pair and A2 (2), Z2 (3)
 LEMMA_CORPUS = [LEFT_ZERO, RIGHT_ZERO, RECT_BAND_2X2, MIN2, CHAIN3, NULL2, Z2, A2]
 FROZEN_CHECK = {"json": "66d80500a0587a5fbb5d757a76fc2d57", "text": "78077d421dec2e9caff12d68c23034a9"}
+# closure --set m4 on A2 (JSON): the full clone of 442,392 functions at arity 4
+FROZEN_CLOSURE = "742a1cf74d26bd0111f14cee03f9dfaf"
 
 
 class TestFrozenStreams:
@@ -316,6 +318,11 @@ class TestFrozenStreams:
         code, out, _ = run(capsys, "check", str(corpus), "--format", fmt)
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == FROZEN_CHECK[fmt]
+
+    def test_closure_m4_on_A2(self, capsys, table_file):
+        code, out, _ = run(capsys, "closure", table_file(A2), "--set", "m4")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == FROZEN_CLOSURE
 
 
 class TestEnumerate:
@@ -352,11 +359,10 @@ class TestEnumerate:
         assert len(out.splitlines()) == 18
 
     @pytest.mark.parametrize("mode, count", [("iso-anti", 15_973), ("iso", 28_634)])
-    def test_order6_frozen_counts(self, capsys, mode, count):
+    def test_order6_frozen_counts(self, order6_stream, mode, count):
         # OEIS A001423 and A027851 at order 6
-        code, out, _ = run(capsys, "enumerate", "--order", "6", "--mode", mode, "--allow-large")
+        code, lines = order6_stream(mode)
         assert code == 0
-        lines = out.splitlines()
         assert len(lines) == count
         assert lines == sorted(set(lines), key=lambda line: json.loads(line)["table"])
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import eqdomain.geometry
 from eqdomain import (
     BudgetExceeded,
     Equation,
@@ -336,6 +337,30 @@ class TestClosureGrouping:
             k = rng.randint(1, 3)
             self.check(S, random_point_set(rng, S.order, k))
         self.check(A2, union_target_m3(A2))
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 9], ids=["low2", "low2-small"])
+    def test_shared_hashes_change_nothing(self, monkeypatch, semigroups_le3, block_bytes):
+        # Only the 2 low bits of each restriction's hash are kept, so many
+        # different restrictions share a hash; with small blocks they do so
+        # across the blocks of the hashing and of the fold too.  geometry
+        # binds BLOCK_BYTES at import, so it is patched there.
+        row_hashes = eqdomain.geometry._row_hashes
+        monkeypatch.setattr(eqdomain.geometry, "_row_hashes", lambda rows: row_hashes(rows) & np.uint64(3))
+        if block_bytes:
+            monkeypatch.setattr(eqdomain.geometry, "BLOCK_BYTES", block_bytes)
+        regrouped = []
+        regroup = eqdomain.geometry._regroup
+        monkeypatch.setattr(eqdomain.geometry, "_regroup", lambda *args: regrouped.append(regroup(*args)))
+        rng = random.Random(31)
+        for _ in range(30):
+            S = rng.choice(semigroups_le3)
+            k = rng.randint(1, 3)
+            self.check(S, random_point_set(rng, S.order, k))
+        Y = union_target_m3(A2)
+        assert len(Y) % 8  # restrictions that are no whole number of words
+        self.check(A2, Y)
+        self.check(A2, PointSet.empty(5, 3))
+        assert regrouped
 
     def test_pairs_index_like_a_tuple(self):
         pairs = algebraic_closure(A2, union_target_m3(A2)).agreeing_pairs
