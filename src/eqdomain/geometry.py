@@ -333,24 +333,27 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     restriction and confirmed by comparing restrictions; the first member
     of a group, in discovery order, is its representative.
 
-    Restrictions are never gathered.  Each row is read as uint64 words and
-    ANDed with a mask that is 0xFF on the bytes of Y and 0 elsewhere, the
-    pad included, so two rows agree on Y exactly when their masked words
-    are equal.  A member differs from its representative at the nonzero
-    bytes of their XOR: the points that stay in the closure are the zero
-    bytes of the OR of all these XORs, and the members whose masked XOR is
-    nonzero share a hash but not a restriction with the representative.
+    Restrictions are never gathered.  Each stored row is read as uint64
+    words and ANDed with a mask that has every bit of the values at Y set
+    and every other bit clear, the pad included: 0x0F or 0xF0 for a point
+    stored in a nibble, 0xFF for one stored in a byte.  So two rows agree
+    on Y exactly when their masked words are equal.  A member differs from
+    its representative at the nonzero values of their XOR: the points that
+    stay in the closure are the zero values of the OR of all these XORs,
+    and the members whose masked XOR is nonzero share a hash but not a
+    restriction with the representative.
     """
     import numpy as np
 
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
     funcs = term_functions(S, Y.k, budget=budget)
+    layout = funcs.layout
     words = funcs.rows.view(np.uint64)
-    npoints = Y.n**Y.k
-    on_y = np.zeros(funcs.rows.shape[1], dtype=np.uint8)
-    on_y[:npoints] = 0xFF * Y._bool_array()
-    on_y = on_y.view(np.uint64)
+    npoints = layout.npoints
+    on_y = np.zeros(layout.values_width, dtype=np.uint8)
+    on_y[:npoints] = layout.value_mask * Y._bool_array()
+    on_y = layout.pack(on_y).view(np.uint64)
     step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
 
     def restrict(rows) -> np.ndarray:
@@ -370,7 +373,7 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
             differ |= np.bitwise_or.reduce(diff, axis=0)
             diff &= on_y
             split.append(part[diff.any(axis=1)])
-        keep = differ.view(np.uint8)[:npoints] == 0
+        keep = layout.unpack(differ.view(np.uint8))[:npoints] == 0
         return keep, members, np.concatenate([members[:0], *split])
 
     hashes = np.concatenate(

@@ -387,6 +387,58 @@ def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
             rep[m] = seen.setdefault(row.tobytes(), m)
 
 
+class _RowLayout:
+    """How the ``order**arity`` values of a term function are stored in a row.
+
+    With order <= 16 every value fits in a nibble, so a row holds two
+    values per byte: value 2j in the low nibble of byte j, value 2j+1 in
+    its high nibble.  Larger orders store one value per byte, and then
+    :meth:`pack` and :meth:`unpack` return their input.  A stored row is
+    ``width`` bytes, zero-padded to whole 8-byte words so that rows read
+    as uint64 words; ``values_width`` is the same row at one value per
+    byte, pad included.  ``value_mask`` has every bit a stored value can
+    set.
+    """
+
+    def __init__(self, order: int, arity: int):
+        self.npoints = order**arity
+        self.per_byte = 2 if order <= 16 else 1
+        self.width = -(-self.npoints // (8 * self.per_byte)) * 8
+        self.values_width = self.per_byte * self.width
+        self.value_mask = 0x0F if self.per_byte == 2 else 0xFF
+
+    def pack(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows of ``values`` (one value per byte, each below 16 when
+        packed) in the stored layout, written to ``out`` when given."""
+        import numpy as np
+
+        if self.per_byte == 1:
+            return values
+        if out is None:
+            out = np.empty(values.shape[:-1] + (self.width,), dtype=np.uint8)
+        # read as little-endian pairs v + 256*w, (v + 256*w) >> 4 is 16*w
+        # and the low byte of 16*w | v + 256*w is v + 16*w
+        pairs = values.view("<u2")
+        np.right_shift(pairs, 4, out=out, casting="unsafe")
+        np.bitwise_or(out, pairs, out=out, casting="unsafe")
+        return out
+
+    def unpack(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The stored ``rows`` at one value per byte, written to ``out`` when given."""
+        import numpy as np
+
+        if self.per_byte == 1:
+            return rows
+        if out is None:
+            out = np.empty(rows.shape[:-1] + (self.values_width,), dtype=np.uint8)
+        # byte b = v + 16*w becomes the pair (b | b << 4) & 0x0F0F = v + 256*w
+        pairs = out.view("<u2")
+        np.left_shift(rows, 4, out=pairs, dtype=pairs.dtype)
+        np.bitwise_or(pairs, rows, out=pairs)
+        np.bitwise_and(pairs, 0x0F0F, out=pairs)
+        return out
+
+
 class _CloneTable:
     """Distinct zero-padded rows in discovery order, with an exact hash index.
 
@@ -396,8 +448,8 @@ class _CloneTable:
     top bits of its hash and moves on until it reaches a free slot, which
     it claims, or a slot whose key and row bytes both equal its own, so a
     hash shared by different rows only sends the later row on down the
-    chain.  The index doubles before it could pass half full, and a block
-    of rows settles in a few vectorized rounds.
+    chain.  The index starts at 1,024 slots and doubles before it could
+    pass half full, and a block of rows settles in a few vectorized rounds.
     """
 
     def __init__(self, width: int, budget: int):
@@ -408,8 +460,8 @@ class _CloneTable:
         self.count = 0
         self.parents: list[np.ndarray] = []
         self.letters: list[np.ndarray] = []
-        self.keys = np.zeros(0, dtype=np.uint64)
-        self.ids = np.zeros(0, dtype=np.intp)
+        self.keys = np.zeros(1 << 10, dtype=np.uint64)
+        self.ids = np.full(1 << 10, np.iinfo(np.intp).max)
 
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
         """The uint64 words of the rows numbered ``ids``: the stored rows
@@ -462,7 +514,7 @@ class _CloneTable:
         """Double the index until ``extra`` more rows leave it at most half full."""
         import numpy as np
 
-        size = max(len(self.ids), 1 << 10)
+        size = len(self.ids)
         while 2 * (self.count + extra) > size:
             size *= 2
         if size > len(self.ids):
@@ -605,8 +657,10 @@ def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes
 class TermFunctions(Sequence):
     """The term functions of one arity, in discovery order, held as arrays.
 
-    ``rows[i, :order**arity]`` are the values of function i; the rest of
-    the row is zero padding to a whole number of 8-byte words.  Function i
+    ``rows[i]`` holds the values of function i in the layout of
+    :class:`_RowLayout` (``layout``): two per byte when ``order <= 16``,
+    one per byte above, zero-padded to a whole number of 8-byte words.
+    :attr:`TermFunction.values` is always one byte per point.  Function i
     is function ``parent[i]`` times the variable ``letter[i]``, or that
     variable alone when ``parent[i]`` is -1, so its witness word is read
     back along the parents.  Items are built as :class:`TermFunction` on
@@ -619,6 +673,7 @@ class TermFunctions(Sequence):
         self.rows = rows
         self.parent = parent
         self.letter = letter
+        self.layout = _RowLayout(order, arity)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -670,7 +725,7 @@ class TermFunctions(Sequence):
             yield texts[-1]
 
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
-        values = self.rows[i, : self.order**self.arity].tobytes()
+        values = self.layout.unpack(self.rows[i])[: self.layout.npoints].tobytes()
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
 
 
@@ -727,9 +782,16 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     kept (function, variable) pairs are listed at once and multiplied in
     blocks of at most ``BLOCK_BYTES`` of products.  The products come in
     (function, variable) order and the first occurrence of each new value
-    vector is kept, which is the order of the one-by-one search.  Each
-    function costs its n**arity values, padded to 8 bytes, so ``budget`` (a
-    function count) also bounds the memory.
+    vector is kept, which is the order of the one-by-one search.
+
+    The kernel multiplies at one value per byte; a block's head rows are
+    unpacked before it and its products packed after it, so hashing,
+    deduplication and the stored matrix work on the layout of
+    :class:`_RowLayout`.  Each function costs its n**arity values, stored
+    two per byte at orders <= 16 and padded to 8-byte words, plus a few
+    dozen bytes of index, parent, letter and search state.  So ``budget``
+    (a function count) also bounds the memory: at order 5 and arity 4 a
+    stored row is 320 bytes, against 632 at one value per byte.
     """
     import numpy as np
 
@@ -740,18 +802,22 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     n = S.order
     if n > 255:
         raise ValueError("value vectors are byte-packed; order must be <= 255")
-    npoints = n**arity
-    width = -(-npoints // 8) * 8
+    layout = _RowLayout(n, arity)
+    width = layout.values_width
     codes = _ProductCodes(S.as_array(), arity, width)
-    clone = _CloneTable(width, budget)
+    clone = _CloneTable(layout.width, budget)
     projections = np.zeros((arity, width), dtype=np.uint8)
-    projections[:, :npoints] = coordinate_grid(n, arity)
-    clone.add(projections, np.full(arity, -1), np.arange(arity))
+    projections[:, : layout.npoints] = coordinate_grid(n, arity)
+    clone.add(layout.pack(projections), np.full(arity, -1), np.arange(arity))
     children = np.full((clone.count + 1, arity), -1, dtype=np.int32)
     children[0, clone.letters[0]] = np.arange(clone.count)
     suffix = np.full(clone.count, -1, dtype=np.int32)
     step = max(1, BLOCK_BYTES // width)
-    heads = np.empty((step, width), dtype=np.uint8)  # each block's cells, gathered in one buffer
+    # each block's head rows are gathered, unpacked and their products
+    # packed in buffers kept for the whole search
+    gathered = np.empty((step, layout.width), dtype=np.uint8)
+    heads = np.empty((step, width), dtype=np.uint8)
+    packed = np.empty((step, layout.width), dtype=np.uint8)
     level = 0
     while level < clone.count:
         level_end = clone.count
@@ -761,8 +827,9 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
             rows, letters = np.divmod(pairs[block : block + step], arity)
             rows += level
             start = clone.count
-            cells = np.take(clone.rows, rows, axis=0, out=heads[: len(rows)], mode="clip")
-            clone.add(_right_products(cells, letters, codes), rows, letters)
+            m = len(rows)
+            cells = layout.unpack(np.take(clone.rows, rows, axis=0, out=gathered[:m], mode="clip"), heads[:m])
+            clone.add(layout.pack(_right_products(cells, letters, codes), packed[:m]), rows, letters)
             children = _grown(children, clone.count + 1)
             suffix = _grown(suffix, clone.count)
             parent, letter = clone.parents[-1], clone.letters[-1]

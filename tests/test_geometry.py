@@ -9,6 +9,7 @@ from eqdomain import (
     BudgetExceeded,
     Equation,
     PointSet,
+    Semigroup,
     System,
     Term,
     all_points,
@@ -329,6 +330,17 @@ class TestClosureGrouping:
             self.check(S, random_point_set(rng, S.order, k))
         self.check(A2, union_target_m3(A2))
         self.check(A2, PointSet.empty(5, 2))
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_matches_oracle_grouping_across_the_packing_bound(self, n):
+        # at order 16 the values are stored two per byte and the last
+        # point, 255, is the high nibble of the last byte of values; at
+        # order 17 the values are bytes and 16 needs their fifth bit
+        S = Semigroup([[(a + b) % n for b in range(n)] for a in range(n)])
+        rng = random.Random(37)
+        for extra in (0, 1, 5, 40):
+            points = {rng.randrange(n * n) for _ in range(extra)} | {n * n - 1}
+            self.check(S, PointSet(n, 2, sum(1 << i for i in points)))
 
     def test_constant_hash_changes_nothing(self, constant_hash, semigroups_le3):
         rng = random.Random(29)

@@ -26,12 +26,21 @@ from eqdomain import (
     term_functions,
 )
 from eqdomain import Semigroup, monogenic_table
-from eqdomain.terms import TermFunctions, _ProductCodes, _right_products, coordinate_grid, format_word
+from eqdomain.terms import (
+    TermFunctions,
+    _CloneTable,
+    _ProductCodes,
+    _RowLayout,
+    _right_products,
+    coordinate_grid,
+    format_word,
+)
 from support import A2, LEFT_ZERO, MIN2, Z2, Z3, per_head_term_functions, raw_word_vectors
 
 words = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
 # a lemma-3 table of order 4, with 26,216 term functions at arity 4
 LEMMA3_TABLE = Semigroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 2, 2], [3, 3, 3, 3]])
+Z16 = Semigroup([[(a + b) % 16 for b in range(16)] for a in range(16)])
 Z17 = Semigroup([[(a + b) % 17 for b in range(17)] for a in range(17)])
 
 
@@ -291,6 +300,12 @@ class TestBlockEngine:
         assert len(funcs) == 1614
         assert listing(funcs) == listing(per_head_term_functions(A2, 3))
 
+    def test_matches_oracle_on_order_16(self):
+        # the largest order whose values are stored two per byte
+        funcs = term_functions(Z16, 2)
+        assert len(funcs) == 16 * 16
+        assert listing(funcs) == listing(per_head_term_functions(Z16, 2))
+
     def test_matches_oracle_on_order_17(self):
         # past the one-group byte code (n * n <= 256) of the product kernel
         funcs = term_functions(Z17, 2)
@@ -402,10 +417,60 @@ class TestBlockEngine:
             funcs[len(funcs)]
 
     def test_rows_are_zero_padded_values(self):
+        # two values per byte: point 2j in the low nibble of byte j, point
+        # 2j+1 in its high nibble; 9 values fill 4.5 bytes of one word
         funcs = term_functions(Z3, 2)
-        assert funcs.rows.shape == (len(funcs), 16)
-        assert not funcs.rows[:, 9:].any()
-        assert [r[:9].tobytes() for r in funcs.rows] == [f.values for f in funcs]
+        assert funcs.rows.shape == (len(funcs), 8)
+        values = np.stack([funcs.rows & 0x0F, funcs.rows >> 4], axis=2).reshape(len(funcs), 16)
+        assert not values[:, 9:].any()
+        assert [v[:9].tobytes() for v in values] == [f.values for f in funcs]
+
+    def test_rows_at_order_17_are_one_value_per_byte(self):
+        funcs = term_functions(Z17, 2)
+        assert funcs.rows.shape == (len(funcs), 296)
+        assert not funcs.rows[:, 289:].any()
+        assert [r[:289].tobytes() for r in funcs.rows] == [f.values for f in funcs]
+
+    def test_a_fresh_clone_settles_each_block_once(self, monkeypatch):
+        # the index is sized before the first block, so no call settles an
+        # empty index
+        calls = []
+        for name in ("add", "_settle"):
+            method = getattr(_CloneTable, name)
+
+            def counting(self, *args, method=method, name=name):
+                calls.append(name)
+                return method(self, *args)
+
+            monkeypatch.setattr(_CloneTable, name, counting)
+        assert len(term_functions(Z2, 2)) == 4
+        assert calls.count("add") > 1
+        assert calls.count("_settle") == calls.count("add")
+
+
+class TestRowLayout:
+    """Packing and unpacking at one and at two values per byte."""
+
+    @pytest.mark.parametrize("n, arity", [(1, 1), (3, 1), (3, 2), (5, 3), (15, 1), (15, 2), (17, 1), (17, 2)])
+    def test_round_trip_on_odd_point_counts(self, n, arity):
+        layout = _RowLayout(n, arity)
+        npoints = n**arity
+        assert npoints % 2
+        values = np.zeros((4, layout.values_width), dtype=np.uint8)
+        values[:, :npoints] = np.random.default_rng(npoints).integers(0, n, (4, npoints))
+        rows = layout.pack(values)
+        assert rows.shape == (4, layout.width) and layout.width % 8 == 0
+        if n <= 16:
+            assert layout.width == -(-npoints // 16) * 8
+            assert (rows == values[:, 0::2] | values[:, 1::2] << 4).all()
+        else:
+            assert layout.width == -(-npoints // 8) * 8
+        assert (layout.unpack(rows) == values).all()
+        assert (layout.unpack(rows[1]) == values[1]).all()
+        out = np.full((4, layout.width), 0xAB, dtype=np.uint8)
+        assert (layout.pack(values, out) == rows).all()
+        out = np.full((4, layout.values_width), 0xAB, dtype=np.uint8)
+        assert (layout.unpack(rows, out) == values).all()
 
 
 class TestProductKernel:
