@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 stdout closed early by its reader, 2 invalid input
 (bad table, parse error, bad flags), 3 internal inconsistency (a failed
 witness, an unverified identity, an exceeded closure budget, an
 unexpected error while checking a table, or a worker process that died).
+The commands raise their errors, and :func:`main` alone maps them to exit
+codes.
+
+``verify-theorem`` splits each order's search into the same shards at every
+``--jobs``: worker processes check them, or, at one job, this process reads
+them one table at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ _trusted = Semigroup._trusted  # bound at import, as in enumeration
 # compiling those modules.  The names they use from them:
 _CHECKING_COMMANDS = ("check", "verify-theorem", "closure", "term-functions")
 _CHECKING_NAMES = {
-    "terms": ("DEFAULT_BUDGET", "BudgetExceeded", "TermSyntaxError", "parse_equations", "term_functions"),
+    "terms": ("DEFAULT_BUDGET", "BudgetExceeded", "parse_equations", "term_functions"),
     "geometry": ("PointSet", "algebraic_closure", "solution_set", "union_target_m3", "union_target_m4"),
     "witnesses": ("WitnessNotFound", "check_semigroup"),
 }
@@ -90,6 +96,14 @@ def _default_budget() -> int:
     if value < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1")
     return value
+
+
+def _check_order(flag: str, order: int, allow_large: bool):
+    if order > SOFT_ORDER_LIMIT and not allow_large:
+        raise ValueError(
+            f"{flag} {order} exceeds the soft limit {SOFT_ORDER_LIMIT}; "
+            "pass --allow-large to proceed"
+        )
 
 
 def _json_line(obj) -> str:
@@ -142,9 +156,12 @@ class WorkerLost(RuntimeError):
 
 
 def _serve(fn, conn):
-    """Worker process: answer each task that comes on ``conn``, until ``None``."""
+    """Worker process: answer each task that comes on ``conn``, until ``None``.
+
+    The answer is ``list(fn(task))``, so ``fn`` may return a generator.
+    """
     while (task := conn.recv()) is not None:
-        conn.send(fn(task))
+        conn.send(list(fn(task)))
 
 
 def _start_worker(fn):
@@ -163,10 +180,12 @@ def _ordered_map(fn, tasks, jobs: int, ahead: int, describe):
 
     ``tasks`` may be any iterable, read as the results are wanted.  Up to
     ``jobs`` worker processes run the tasks, never more than there are
-    tasks.  A worker takes the next task as soon as it is free, and at
-    most ``ahead`` tasks are out at once: a reader slower than the
-    workers holds them back instead of letting results pile up.  With one
-    worker the tasks run in this process.  If a worker dies, the task it
+    tasks, and each result comes back as ``list(fn(task))``.  A worker
+    takes the next task as soon as it is free, and at most ``ahead`` tasks
+    are out at once: a reader slower than the workers holds them back
+    instead of letting results pile up.  With one worker the tasks run in
+    this process and ``fn(task)`` is yielded as it is, so a generator is
+    read only as its reader asks.  If a worker dies, the task it
     held, named by ``describe(index, task)``, is reported by raising
     :class:`WorkerLost`.
     """
@@ -257,22 +276,15 @@ def _render_result_text(result: dict) -> str:
 
 
 def cmd_check(ns) -> int:
-    try:
-        semigroups = list(read_corpus(ns.file, strict=ns.strict))
-    except (OSError, CorpusError, TableError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    semigroups = list(read_corpus(ns.file, strict=ns.strict))
     if not semigroups:
-        print("error: no tables found in input", file=sys.stderr)
-        return EXIT_INVALID
+        raise CorpusError("no tables found in input")
     jobs = min(ns.jobs, len(semigroups))
     chunk = max(1, len(semigroups) // (jobs * 8))
     results = list(_map_tables([S.table for S in semigroups], ns.budget, jobs, chunk))
     if ns.format == "json":
-        if len(results) == 1 and results[0]["status"] == "ok":
-            print(_json_doc(results[0]["report"]))
-        elif len(results) == 1:
-            print(_json_doc(results[0]))
+        if len(results) == 1:
+            print(_json_doc(_record(results[0])))
         else:
             for result in results:
                 print(_json_line(_record(result)))
@@ -284,13 +296,6 @@ def cmd_check(ns) -> int:
 
 
 # --- verify-theorem ---------------------------------------------------------
-
-
-def _theorem_results(order: int, mode: str, start, stop, budget: int):
-    """The check result of each table of one shard of the search, in order."""
-    _bind_checking()  # a no-op after a fork; a worker started afresh binds here
-    for S in enumerate_tables(order, mode, True, start, stop):
-        yield _check_table((S.table, budget))
 
 
 def _outcome(result: dict) -> tuple:
@@ -317,15 +322,13 @@ def _count(per_order: dict, outcome: tuple):
 
 
 def _check_shard(task):
-    """Pool task: the finished JSON lines of one shard of the search (none
-    for text output) and the outcome of each of its tables."""
-    *shard, as_json = task
-    lines, outcomes = [], []
-    for result in _theorem_results(*shard):
-        if as_json:
-            lines.append(_json_line(_record(result)))
-        outcomes.append(_outcome(result))
-    return lines, outcomes
+    """Pool task: for each table of one shard of the search, in order, its
+    finished JSON line (None for text output) and its outcome."""
+    order, mode, start, stop, budget, as_json = task
+    _bind_checking()  # a no-op after a fork; a worker started afresh binds here
+    for S in enumerate_tables(order, mode, True, start, stop):
+        result = _check_table((S.table, budget))
+        yield _json_line(_record(result)) if as_json else None, _outcome(result)
 
 
 def _theorem_shards(ns, mode: str):
@@ -336,40 +339,25 @@ def _theorem_shards(ns, mode: str):
             yield order, mode, start, stop, ns.budget, ns.format == "json"
 
 
+def _describe_shard(index, task):
+    order, _, start, stop, *_ = task
+    end = "the end" if stop is None else f"node {list(stop)}"
+    return f"the order-{order} search from node {list(start)} to {end}"
+
+
 def cmd_verify_theorem(ns) -> int:
     if not 1 <= ns.max_order:
-        print("error: --max-order must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
-    if ns.max_order > SOFT_ORDER_LIMIT and not ns.allow_large:
-        print(
-            f"error: --max-order {ns.max_order} exceeds the soft limit "
-            f"{SOFT_ORDER_LIMIT}; pass --allow-large to proceed",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+        raise ValueError("--max-order must be >= 1")
+    _check_order("--max-order", ns.max_order, ns.allow_large)
     mode = _CLI_MODES[ns.mode]
     per_order: dict[int, dict] = {}
-    if ns.jobs == 1:
-        # the whole search of each order is one shard, in this process
-        for order in range(2, ns.max_order + 1):
-            for result in _theorem_results(order, mode, (), None, ns.budget):
-                if ns.format == "json":
-                    print(_json_line(_record(result)))
-                _count(per_order, _outcome(result))
-    else:
-
-        def describe(index, task):
-            order, _, start, stop, *_ = task
-            end = "the end" if stop is None else f"node {list(stop)}"
-            return f"the order-{order} search from node {list(start)} to {end}"
-
-        shards = _theorem_shards(ns, mode)
-        ahead = SHARDS_AHEAD_PER_JOB * ns.jobs
-        for lines, outcomes in _ordered_map(_check_shard, shards, ns.jobs, ahead, describe):
-            if lines:
-                print("\n".join(lines))
-            for outcome in outcomes:
-                _count(per_order, outcome)
+    shards = _theorem_shards(ns, mode)
+    ahead = SHARDS_AHEAD_PER_JOB * ns.jobs
+    for shard in _ordered_map(_check_shard, shards, ns.jobs, ahead, _describe_shard):
+        for line, outcome in shard:
+            if line is not None:
+                print(line)
+            _count(per_order, outcome)
     checked = sum(stats["tables"] for stats in per_order.values())
     failures = sum(
         stats["equational_domains"] + stats["budget_exceeded"] + stats["inconsistent"]
@@ -410,13 +398,7 @@ def cmd_verify_theorem(ns) -> int:
 
 
 def cmd_enumerate(ns) -> int:
-    if ns.order > SOFT_ORDER_LIMIT and not ns.allow_large:
-        print(
-            f"error: --order {ns.order} exceeds the soft limit {SOFT_ORDER_LIMIT}; "
-            "pass --allow-large to proceed",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+    _check_order("--order", ns.order, ns.allow_large)
     mode = _CLI_MODES[ns.mode]
     count = 0
     for S in enumerate_tables(ns.order, mode, allow_large=ns.allow_large):
@@ -476,22 +458,13 @@ def _load_point_set(
 
 
 def cmd_closure(ns) -> int:
-    try:
-        S = _load_single_table(ns.file, ns.strict)
-        forced = {"m3": 3, "m4": 4}.get(ns.set)
-        if forced is not None and ns.arity is not None and ns.arity != forced:
-            print(f"error: --set {ns.set} fixes --arity {forced}", file=sys.stderr)
-            return EXIT_INVALID
-        arity = forced if forced is not None else ns.arity
-        Y, label = _load_point_set(ns.set, S, arity, ns.allow_large)
-    except (OSError, CorpusError, TableError, TermSyntaxError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        cert = algebraic_closure(S, Y, budget=ns.budget)
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    S = _load_single_table(ns.file, ns.strict)
+    forced = {"m3": 3, "m4": 4}.get(ns.set)
+    if forced is not None and ns.arity is not None and ns.arity != forced:
+        raise ValueError(f"--set {ns.set} fixes --arity {forced}")
+    arity = forced if forced is not None else ns.arity
+    Y, label = _load_point_set(ns.set, S, arity, ns.allow_large)
+    cert = algebraic_closure(S, Y, budget=ns.budget)
     algebraic = cert.closure == Y
     separating = None if algebraic else cert.closure.difference(Y).least_point()
     out = {
@@ -518,17 +491,9 @@ def cmd_closure(ns) -> int:
 
 
 def cmd_term_functions(ns) -> int:
-    try:
-        S = _load_single_table(ns.file, ns.strict)
-        _check_arity(ns.arity, ns.allow_large)
-    except (OSError, CorpusError, TableError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        funcs = term_functions(S, ns.arity, budget=ns.budget)
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    S = _load_single_table(ns.file, ns.strict)
+    _check_arity(ns.arity, ns.allow_large)
+    funcs = term_functions(S, ns.arity, budget=ns.budget)
     out = {
         "order": S.order,
         "arity": ns.arity,
@@ -615,31 +580,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    # the errors of exit 3.  Only the checking commands bind BudgetExceeded,
+    # so an error in enumerate never looks the name up.
+    inconsistent = (WorkerLost,)
     try:
         if ns.budget is not None and ns.budget < 1:
             raise ValueError("--budget must be >= 1")
         if ns.command in _CHECKING_COMMANDS:
             _bind_checking()
+            inconsistent = (WorkerLost, BudgetExceeded)
             if ns.budget is None:
                 ns.budget = _default_budget()
-    except ValueError as e:
+        if getattr(ns, "jobs", 1) < 1:
+            raise ValueError("--jobs must be >= 1")
+        return ns.func(ns)
+    except BrokenPipeError:
+        raise  # for entry: the reader closed stdout, exit 1
+    except (OSError, CorpusError, TableError, ValueError) as e:  # TermSyntaxError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    if getattr(ns, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
-    # BudgetExceeded and WitnessNotFound need no clause here: each command
-    # turns them into its own output where it calls what raises them
-    try:
-        return ns.func(ns)
-    except WorkerLost as e:
+    except inconsistent as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (CorpusError, TableError, ValueError) as e:  # TermSyntaxError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def entry():

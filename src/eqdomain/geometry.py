@@ -252,25 +252,25 @@ def solution_set(S: Semigroup, obj: Equation | System) -> PointSet:
     return PointSet._from_bool(keep, n, k)
 
 
+def in_union_target(point, name: str):
+    """Whether ``point`` lies in the target ``m3`` or ``m4``, without building it.
+
+    ``point`` may be a tuple of ints, or the rows of a :func:`coordinate_grid`,
+    which gives the answer for every point of the grid at once.
+    """
+    if name == "m3":
+        return (point[0] == point[1]) | (point[0] == point[2])
+    return (point[0] == point[1]) | (point[2] == point[3])
+
+
 def union_target_m3(S: Semigroup) -> PointSet:
     """{p in S^3 : p0 = p1 or p0 = p2} — the 3-variable union of two diagonals."""
-    grid = coordinate_grid(S.order, 3)
-    keep = (grid[0] == grid[1]) | (grid[0] == grid[2])
-    return PointSet._from_bool(keep, S.order, 3)
+    return PointSet._from_bool(in_union_target(coordinate_grid(S.order, 3), "m3"), S.order, 3)
 
 
 def union_target_m4(S: Semigroup) -> PointSet:
     """{p in S^4 : p0 = p1 or p2 = p3} — the 4-variable union of two diagonals."""
-    grid = coordinate_grid(S.order, 4)
-    keep = (grid[0] == grid[1]) | (grid[2] == grid[3])
-    return PointSet._from_bool(keep, S.order, 4)
-
-
-def in_union_target(point, name: str) -> bool:
-    """Whether ``point`` lies in the target ``m3`` or ``m4``, without building it."""
-    if name == "m3":
-        return point[0] == point[1] or point[0] == point[2]
-    return point[0] == point[1] or point[2] == point[3]
+    return PointSet._from_bool(in_union_target(coordinate_grid(S.order, 4), "m4"), S.order, 4)
 
 
 class _AgreeingPairs(Sequence):

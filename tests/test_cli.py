@@ -80,9 +80,22 @@ class TestCheck:
         assert code == 2
         assert "(x, y, z)" in err
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "check", "/nonexistent/tables.txt")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "/nonexistent/tables.txt"),
+            ("closure", "/nonexistent/tables.txt", "--set", "m3"),
+            ("term-functions", "/nonexistent/tables.txt", "--arity", "2"),
+            ("closure", "{table}", "--set", "@/nonexistent/points.json"),
+        ],
+        ids=["check", "closure", "term-functions", "closure-set-file"],
+    )
+    def test_missing_file(self, capsys, table_file, argv):
+        argv = [arg.format(table=table_file(Z2)) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file" in err
+        assert "Traceback" not in err
 
     def test_multi_table_stream(self, capsys, tmp_path):
         path = tmp_path / "corpus.txt"
@@ -186,6 +199,23 @@ class TestVerifyTheorem:
         _, out1, _ = run(capsys, "verify-theorem", "--max-order", "2", "--jobs", "1")
         _, out2, _ = run(capsys, "verify-theorem", "--max-order", "2", "--jobs", "3")
         assert out1 == out2
+
+    def test_jobs_1_writes_each_table_as_it_is_checked(self, monkeypatch):
+        # one job reads its shards in this process, a table at a time: the
+        # first line is written before the second table is checked
+        checks, first_write = [], []
+        monkeypatch.setattr(cli, "check_semigroup", counting(cli.check_semigroup, checks))
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                if not first_write:
+                    first_write.append(len(checks))
+                return super().write(text)
+
+        with contextlib.redirect_stdout(Stdout()):
+            assert main(["verify-theorem", "--max-order", "4", "--jobs", "1"]) == 0
+        assert first_write == [1]
+        assert len(checks) == 3_613
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_worker_error_is_a_record(self, capsys, monkeypatch, jobs):
@@ -366,11 +396,20 @@ class TestEnumerate:
         assert len(lines) == count
         assert lines == sorted(set(lines), key=lambda line: json.loads(line)["table"])
 
-    def test_reader_closing_early_is_not_a_traceback(self):
-        # the order-4 stream is far larger than a pipe buffer, so the writer
+    @pytest.mark.parametrize(
+        "argv, first_order",
+        [
+            (("enumerate", "--order", "4"), 4),
+            (("verify-theorem", "--max-order", "4", "--jobs", "1"), 2),
+            (("verify-theorem", "--max-order", "4", "--jobs", "2"), 2),
+        ],
+        ids=["enumerate", "verify-theorem-jobs1", "verify-theorem-jobs2"],
+    )
+    def test_reader_closing_early_is_not_a_traceback(self, argv, first_order):
+        # each order-4 stream is far larger than a pipe buffer, so the writer
         # is still printing when the reader goes away
         with subprocess.Popen(
-            [sys.executable, "-m", "eqdomain", "enumerate", "--order", "4"],
+            [sys.executable, "-m", "eqdomain", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=src_env(),
@@ -379,7 +418,7 @@ class TestEnumerate:
             proc.stdout.close()
             err = proc.stderr.read().decode()
             code = proc.wait(timeout=60)
-        assert first["order"] == 4
+        assert first["order"] == first_order
         assert code == 1
         assert "Traceback" not in err
 
@@ -455,6 +494,11 @@ class TestClosure:
     def test_bad_set_spec(self, capsys, table_file):
         code, _, err = run(capsys, "closure", table_file(Z2), "--set", "m5")
         assert code == 2
+
+    def test_budget_is_exit_3(self, capsys, table_file):
+        code, out, err = run(capsys, "closure", table_file(A2), "--set", "m4", "--budget", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: term-function closure exceeded the budget at size 3\n"
 
 
 class TestTermFunctions:
@@ -679,6 +723,24 @@ print(json.dumps({"failed": failed, "version": eqdomain.__version__}))
 """
 
 
+# Makes enumerate raise an error that main maps to no exit code, in an
+# interpreter where no checking command has bound BudgetExceeded, and
+# prints what reaches the caller
+UNMAPPED_IN_ENUMERATE = """
+import json
+import eqdomain.cli as cli
+class Unmapped(Exception):
+    pass
+def enumerate_tables(*args, **kwargs):
+    raise Unmapped("injected")
+cli.enumerate_tables = enumerate_tables
+try:
+    cli.main(["enumerate", "--order", "2"])
+except Exception as e:
+    print(json.dumps({"raised": type(e).__name__, "error": str(e), "bound": "BudgetExceeded" in vars(cli)}))
+"""
+
+
 def counting(fn, calls):
     """``fn``, appending the arguments of each call to ``calls``."""
 
@@ -712,6 +774,10 @@ class TestLazyBinding:
         result = run_python(BOUND_BEFORE_FORK, corpus)
         assert result["codes"] == [0, 0]
         assert result["bound"] == [True, True, True, True]
+
+    def test_an_unmapped_error_in_enumerate_propagates_as_itself(self):
+        result = run_python(UNMAPPED_IN_ENUMERATE)
+        assert result == {"raised": "Unmapped", "error": "injected", "bound": False}
 
     def test_package_exports_resolve_on_first_use(self):
         result = run_python(RESOLVE_EXPORTS, json.dumps(PACKAGE_EXPORTS))
