@@ -332,9 +332,11 @@ def _check_shard(task):
 
 
 def _theorem_shards(ns, mode: str):
-    """The pool tasks of verify-theorem: each order's search, in shards."""
+    """The pool tasks of verify-theorem: each order's search, in shards,
+    or whole at one job."""
+    pieces = 1 if ns.jobs == 1 else SHARDS_PER_JOB * ns.jobs
     for order in range(2, ns.max_order + 1):
-        starts = split_search(order, mode, SHARDS_PER_JOB * ns.jobs)
+        starts = split_search(order, mode, pieces)
         for start, stop in zip(starts, starts[1:] + [None]):
             yield order, mode, start, stop, ns.budget, ns.format == "json"
 

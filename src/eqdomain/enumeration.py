@@ -339,7 +339,10 @@ def split_search(order: int, mode: str, pieces: int) -> list[tuple[int, ...]]:
     least eight of those nodes to a shard: a cut by known cells goes
     deeper where few cells are forced, such as among the zero-rich tables
     that hold most of the reduced searches, and a tiny search stays whole.
+    One piece is the whole search, found without a search.
     """
+    if pieces <= 1:
+        return [()]
     nodes = list(_assoc_tables(order, mode, cut=order * order // 2))
     count = max(1, min(pieces, len(nodes) // 8))
     return [()] + [nodes[i * len(nodes) // count] for i in range(1, count)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -49,7 +48,7 @@ __all__ = [
 
 MAX_EXPONENT = 64  # parser bound; keeps one factor from expanding unboundedly
 DEFAULT_BUDGET = 1_000_000
-BLOCK_BYTES = 1 << 21  # product bytes built per step of the term-function search
+BLOCK_BYTES = 1 << 21  # product values formed per step of the term-function search
 _HASH_CHUNK_BYTES = 1 << 17
 
 
@@ -407,15 +406,14 @@ class _RowLayout:
         self.values_width = self.per_byte * self.width
         self.value_mask = 0x0F if self.per_byte == 2 else 0xFF
 
-    def pack(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def pack(self, values: np.ndarray) -> np.ndarray:
         """The rows of ``values`` (one value per byte, each below 16 when
-        packed) in the stored layout, written to ``out`` when given."""
+        packed) in the stored layout."""
         import numpy as np
 
         if self.per_byte == 1:
             return values
-        if out is None:
-            out = np.empty(values.shape[:-1] + (self.width,), dtype=np.uint8)
+        out = np.empty(values.shape[:-1] + (self.width,), dtype=np.uint8)
         # read as little-endian pairs v + 256*w, (v + 256*w) >> 4 is 16*w
         # and the low byte of 16*w | v + 256*w is v + 16*w
         pairs = values.view("<u2")
@@ -423,14 +421,13 @@ class _RowLayout:
         np.bitwise_or(out, pairs, out=out, casting="unsafe")
         return out
 
-    def unpack(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The stored ``rows`` at one value per byte, written to ``out`` when given."""
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """The stored ``rows`` at one value per byte."""
         import numpy as np
 
         if self.per_byte == 1:
             return rows
-        if out is None:
-            out = np.empty(rows.shape[:-1] + (self.values_width,), dtype=np.uint8)
+        out = np.empty(rows.shape[:-1] + (self.values_width,), dtype=np.uint8)
         # byte b = v + 16*w becomes the pair (b | b << 4) & 0x0F0F = v + 256*w
         pairs = out.view("<u2")
         np.left_shift(rows, 4, out=pairs, dtype=pairs.dtype)
@@ -569,88 +566,64 @@ class _CloneTable:
 
 
 class _ProductCodes:
-    """The byte codes of :func:`_right_products` for one table and arity.
+    """The lookup table of :func:`_right_products` for one table and arity.
 
-    A cell whose head value is v, at a point whose coordinate i is y, is
-    coded as the byte ``v + n*(y - y0)``, where y0 starts a group of
-    ``256 // n`` consecutive values of y; ``tables[g]`` maps the codes of
-    group g to the products v*y.  With n <= 16 one group holds every y and
-    ``offsets[i]`` is n times coordinate i of each point, zero on the pad,
-    so one add codes a whole block.  Otherwise ``offsets`` is the column
-    ``n*(y - y0)`` over a group.  ``buffer`` holds the codes of the last
-    block, and the next block of the same size is coded in it.
+    ``lut[b + 256*c]`` is the stored byte of the products of the values
+    in a stored byte b by the coordinates in a stored byte c, nibble by
+    nibble at orders <= 16 and byte by byte above.  ``projections[i]`` is
+    the stored row of coordinate i of every point, ``coords[i]`` the same
+    row as uint16 shifted into the high byte, and ``pad`` has every bit of
+    a stored value set and the pad clear.  ``out`` holds the products of
+    the largest block so far, and ``index`` the lookup indices of a slice
+    of ``step`` rows.
     """
 
-    def __init__(self, table: np.ndarray, arity: int, width: int):
+    def __init__(self, table: np.ndarray, arity: int):
         import numpy as np
 
         n = len(table)
-        self.order, self.arity, self.npoints = n, arity, n**arity
-        self.size = 256 // n
-        self.buffer = bytearray()
-        self.tables = []
-        for y0 in range(0, n, self.size):
-            ys = np.arange(y0, min(y0 + self.size, n))
-            products = np.zeros(256, dtype=np.uint8)
-            products[np.arange(n)[:, None] + n * (ys - y0)] = table[:, ys]
-            self.tables.append(products.tobytes())
-        if len(self.tables) == 1:
-            self.offsets = np.zeros((arity, width), dtype=np.uint8)
-            self.offsets[:, : self.npoints] = n * coordinate_grid(n, arity)
-        else:
-            self.offsets = (n * np.arange(self.size, dtype=np.uint8))[:, None]
-
-
-def _translated(cells: np.ndarray, offsets: np.ndarray, table: bytes) -> np.ndarray:
-    """``cells + offsets`` in the broadcast shape, mapped byte for byte by ``table``."""
-    import numpy as np
-
-    shape = np.broadcast_shapes(cells.shape, offsets.shape)
-    buffer = bytearray(math.prod(shape))
-    np.add(cells, offsets, out=np.frombuffer(buffer, dtype=np.uint8).reshape(shape))
-    return np.frombuffer(buffer.translate(table), dtype=np.uint8).reshape(shape)
+        layout = _RowLayout(n, arity)
+        square = np.zeros((layout.value_mask + 1,) * 2, dtype=np.uint8)
+        square[:n, :n] = table.T  # square[y, v] is v*y
+        if layout.per_byte == 2:
+            # square[c, b] becomes square[c & 15, b & 15] | square[c >> 4, b >> 4] << 4
+            square = np.tile(square, (16, 16)) | (square << 4).repeat(16, 0).repeat(16, 1)
+        self.lut = square.ravel()
+        values = np.zeros((arity + 1, layout.values_width), dtype=np.uint8)
+        values[:arity, : layout.npoints] = coordinate_grid(n, arity)
+        values[arity, : layout.npoints] = layout.value_mask
+        packed = layout.pack(values)
+        self.projections, self.pad = packed[:arity], packed[arity]
+        self.coords = self.projections.astype(np.uint16) << 8
+        self.step = max(1, _HASH_CHUNK_BYTES // layout.width)
+        self.index = np.empty((self.step, layout.width), dtype=np.uint16)
+        self.out = np.empty((0, layout.width), dtype=np.uint8)
 
 
 def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes) -> np.ndarray:
-    """Row b: row b of ``cells`` times the variable ``x_{letters[b]+1}``, pointwise.
+    """Row b: the stored row b of ``cells`` times the variable
+    ``x_{letters[b]+1}``, pointwise, as a stored row.
 
-    Each cell is coded as a byte that names both factors (see
-    :class:`_ProductCodes`), and one ``bytearray.translate`` turns the codes
-    into products.  With n <= 16 the offsets of each row's variable are
-    taken into ``codes.buffer``, the cells are added in place, and one
-    translate maps the whole block, after which the pad is zeroed again.
-    The buffer is reused while the block size stays the same: a fresh
-    block-sized temporary each step is paged in anew whenever the allocator
-    has handed the top of the heap back to the system.  With more
-    elements, coordinate i is digit i of the big-endian point index, so for
-    the rows of letter i the points whose coordinate i lies in one group of
-    values form a slab of a 4-d view, coded and translated a group at a
-    time.
+    Each byte of a row is ORed below the byte of its variable's
+    coordinates, the table of :class:`_ProductCodes` maps the uint16 to
+    the byte of products, and the pad is cleared.  This goes a slice of
+    rows at a time, as ``np.take`` casts the indices to an intp temporary.
+    The products are written to ``codes.out``, which is grown only when a
+    block outgrows it, so each block reuses the pages of the last.
     """
     import numpy as np
 
-    count, width = cells.shape
-    n, arity, npoints = codes.order, codes.arity, codes.npoints
-    if len(codes.tables) == 1:
-        if len(codes.buffer) != cells.size:
-            codes.buffer = bytearray(cells.size)
-        coded = np.frombuffer(codes.buffer, dtype=np.uint8).reshape(count, width)
-        np.take(codes.offsets, letters, axis=0, out=coded, mode="clip")
-        coded += cells
-        out = np.frombuffer(codes.buffer.translate(codes.tables[0]), dtype=np.uint8).reshape(count, width)
-        out[:, npoints:] = 0
-        return out
-    out = np.zeros((count, width), dtype=np.uint8)
-    for i in range(arity):
-        rows = np.flatnonzero(letters == i)
-        view = (len(rows), n**i, n, n ** (arity - 1 - i))  # (row, higher digits, y, run)
-        src = cells[rows, :npoints].reshape(view)
-        dst = np.empty(view, dtype=np.uint8)
-        for g, y0 in enumerate(range(0, n, codes.size)):
-            ys = slice(y0, min(y0 + codes.size, n))
-            offsets = codes.offsets[: ys.stop - y0]
-            dst[:, :, ys] = _translated(src[:, :, ys], offsets, codes.tables[g])
-        out[rows, :npoints] = dst.reshape(len(rows), npoints)
+    count = len(cells)
+    if len(codes.out) < count:
+        codes.out = np.empty(cells.shape, dtype=np.uint8)
+    out = codes.out[:count]
+    for s in range(0, count, codes.step):
+        index = codes.index[: min(codes.step, count - s)]
+        np.take(codes.coords, letters[s : s + codes.step], axis=0, out=index, mode="clip")
+        index |= cells[s : s + codes.step]
+        part = out[s : s + codes.step]
+        np.take(codes.lut, index, out=part, mode="clip")
+        part &= codes.pad
     return out
 
 
@@ -780,18 +753,17 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     The search goes a breadth-first level at a time.  The suffixes of a
     level lie one level up, whose children are all known, so the level's
     kept (function, variable) pairs are listed at once and multiplied in
-    blocks of at most ``BLOCK_BYTES`` of products.  The products come in
+    blocks of at most ``BLOCK_BYTES`` product values.  The products come in
     (function, variable) order and the first occurrence of each new value
     vector is kept, which is the order of the one-by-one search.
 
-    The kernel multiplies at one value per byte; a block's head rows are
-    unpacked before it and its products packed after it, so hashing,
-    deduplication and the stored matrix work on the layout of
-    :class:`_RowLayout`.  Each function costs its n**arity values, stored
-    two per byte at orders <= 16 and padded to 8-byte words, plus a few
-    dozen bytes of index, parent, letter and search state.  So ``budget``
-    (a function count) also bounds the memory: at order 5 and arity 4 a
-    stored row is 320 bytes, against 632 at one value per byte.
+    The kernel multiplies the stored rows by a table lookup (see
+    :class:`_ProductCodes`), so hashing, deduplication and the stored
+    matrix all work on the layout of :class:`_RowLayout`.  Each function
+    costs its n**arity values, stored two per byte at orders <= 16 and
+    padded to 8-byte words, plus a few dozen bytes of index, parent,
+    letter and search state.  So ``budget`` (a function count) also bounds
+    the memory: at order 5 and arity 4 a stored row is 320 bytes.
     """
     import numpy as np
 
@@ -803,21 +775,13 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     if n > 255:
         raise ValueError("value vectors are byte-packed; order must be <= 255")
     layout = _RowLayout(n, arity)
-    width = layout.values_width
-    codes = _ProductCodes(S.as_array(), arity, width)
+    codes = _ProductCodes(S.as_array(), arity)
     clone = _CloneTable(layout.width, budget)
-    projections = np.zeros((arity, width), dtype=np.uint8)
-    projections[:, : layout.npoints] = coordinate_grid(n, arity)
-    clone.add(layout.pack(projections), np.full(arity, -1), np.arange(arity))
+    clone.add(codes.projections, np.full(arity, -1), np.arange(arity))
     children = np.full((clone.count + 1, arity), -1, dtype=np.int32)
     children[0, clone.letters[0]] = np.arange(clone.count)
     suffix = np.full(clone.count, -1, dtype=np.int32)
-    step = max(1, BLOCK_BYTES // width)
-    # each block's head rows are gathered, unpacked and their products
-    # packed in buffers kept for the whole search
-    gathered = np.empty((step, layout.width), dtype=np.uint8)
-    heads = np.empty((step, width), dtype=np.uint8)
-    packed = np.empty((step, layout.width), dtype=np.uint8)
+    step = max(1, BLOCK_BYTES // layout.values_width)
     level = 0
     while level < clone.count:
         level_end = clone.count
@@ -827,9 +791,7 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
             rows, letters = np.divmod(pairs[block : block + step], arity)
             rows += level
             start = clone.count
-            m = len(rows)
-            cells = layout.unpack(np.take(clone.rows, rows, axis=0, out=gathered[:m], mode="clip"), heads[:m])
-            clone.add(layout.pack(_right_products(cells, letters, codes), packed[:m]), rows, letters)
+            clone.add(_right_products(clone.rows[rows], letters, codes), rows, letters)
             children = _grown(children, clone.count + 1)
             suffix = _grown(suffix, clone.count)
             parent, letter = clone.parents[-1], clone.letters[-1]

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqdomain.cli as cli
+import eqdomain.enumeration as enumeration
 from eqdomain import DEFAULT_BUDGET, enumerate_tables, format_table
 from eqdomain.cli import _map_tables, main
 from eqdomain.enumeration import split_search
@@ -216,6 +217,20 @@ class TestVerifyTheorem:
             assert main(["verify-theorem", "--max-order", "4", "--jobs", "1"]) == 0
         assert first_write == [1]
         assert len(checks) == 3_613
+
+    def test_jobs_1_runs_no_cut_pass(self, capsys, monkeypatch):
+        # one job searches each order whole, so it places no shard starts
+        cuts = []
+        assoc_tables = enumeration._assoc_tables
+
+        def recording(*args, **kwargs):
+            cuts.append(kwargs.get("cut", args[4] if len(args) > 4 else None))
+            return assoc_tables(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_assoc_tables", recording)
+        code, _, _ = run(capsys, "verify-theorem", "--max-order", "4", "--jobs", "1")
+        assert code == 0
+        assert cuts == [None, None, None]  # one whole search per order 2..4
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_worker_error_is_a_record(self, capsys, monkeypatch, jobs):

@@ -467,30 +467,32 @@ class TestRowLayout:
             assert layout.width == -(-npoints // 8) * 8
         assert (layout.unpack(rows) == values).all()
         assert (layout.unpack(rows[1]) == values[1]).all()
-        out = np.full((4, layout.width), 0xAB, dtype=np.uint8)
-        assert (layout.pack(values, out) == rows).all()
-        out = np.full((4, layout.values_width), 0xAB, dtype=np.uint8)
-        assert (layout.unpack(rows, out) == values).all()
 
 
 class TestProductKernel:
-    """``_right_products`` against a plain numpy product of the same rows."""
+    """``_right_products`` on stored rows against a plain numpy product of
+    the same values, stored."""
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_matches_table_lookup(self, n):
         rng = np.random.default_rng(n)
         table = rng.integers(0, n, (n, n))
         for arity in (1, 2, 3):
+            layout = _RowLayout(n, arity)
             npoints = n**arity
-            width = -(-npoints // 8) * 8
-            heads = np.zeros((5, width), dtype=np.uint8)
-            heads[:, :npoints] = rng.integers(0, n, (5, npoints))
+            codes = _ProductCodes(table, arity)
             grid = coordinate_grid(n, arity)
-            expected = np.zeros((5, arity, width), dtype=np.uint8)
-            for i in range(arity):
-                expected[:, i, :npoints] = table[heads[:, :npoints], grid[i]]
-            cells = np.repeat(heads, arity, axis=0)
-            letters = np.tile(np.arange(arity), 5)
-            got = _right_products(cells, letters, _ProductCodes(table, arity, width))
-            assert got.shape == (5 * arity, width)
-            assert (got == expected.reshape(5 * arity, width)).all()
+            # 5 heads, then 7 on the same codes, so its products buffer grows
+            for count in (5, 7):
+                heads = np.zeros((count, layout.values_width), dtype=np.uint8)
+                heads[:, :npoints] = rng.integers(0, n, (count, npoints))
+                expected = np.zeros((count, arity, layout.values_width), dtype=np.uint8)
+                for i in range(arity):
+                    expected[:, i, :npoints] = table[heads[:, :npoints], grid[i]]
+                cells = np.repeat(layout.pack(heads), arity, axis=0)
+                letters = np.tile(np.arange(arity), count)
+                got = _right_products(cells, letters, codes)
+                assert got.shape == (count * arity, layout.width)
+                assert (got == layout.pack(expected.reshape(count * arity, -1))).all()
+                # every bit outside the stored values is zero
+                assert not layout.unpack(got)[:, npoints:].any()
