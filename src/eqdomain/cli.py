@@ -7,9 +7,10 @@ unexpected error while checking a table, or a worker process that died).
 The commands raise their errors, and :func:`main` alone maps them to exit
 codes.
 
-``verify-theorem`` splits each order's search into the same shards at every
-``--jobs``: worker processes check them, or, at one job, this process reads
-them one table at a time.
+``check`` and ``verify-theorem`` run the same shard tasks: ``check`` cuts
+its corpus into slices, ``verify-theorem`` each order's search.  Worker
+processes check the shards, or, at one job, this process reads them one
+table at a time, and each line is printed as soon as its shard's turn comes.
 """
 
 from __future__ import annotations
@@ -42,13 +43,11 @@ DEFAULT_ARITY_LIMIT = 4
 
 _CLI_MODES = {"raw": "raw", "iso": "up_to_iso", "iso-anti": "up_to_iso_and_anti"}
 
-# verify-theorem splits the search of each order into up to this many
-# shards per worker, and lets up to SHARDS_AHEAD_PER_JOB shards per worker
-# be out at once, so that a long shard holds up no other worker
+# check and verify-theorem cut their tables into up to this many shards
+# per worker, and let up to SHARDS_AHEAD_PER_JOB shards per worker be out
+# at once, so that a long shard holds up no other worker
 SHARDS_PER_JOB = 32
 SHARDS_AHEAD_PER_JOB = 4
-
-_trusted = Semigroup._trusted  # bound at import, as in enumeration
 
 # The commands that check tables.  Only they load terms, geometry and
 # witnesses, and only they resolve the budget, so enumerate starts without
@@ -114,20 +113,18 @@ def _json_doc(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-# --- check -----------------------------------------------------------------
+# --- checking tables ---------------------------------------------------------
 
 
-def _check_table(args):
-    """The result record of one table.
+def _check_table(S: Semigroup, budget: int) -> dict:
+    """The output record of one table: its report, or a failure record
+    with a ``status``.
 
     An unexpected exception becomes an ``error`` record that names it and
     the line that raised it, so one failing table does not end the run.
     """
-    # rows come from read_corpus or enumerate_tables, both already validated
-    rows, budget = args
     try:
-        report = check_semigroup(_trusted(rows), budget=budget)
-        return {"status": "ok", "report": report.to_jsonable()}
+        return check_semigroup(S, budget=budget).to_jsonable()
     except BudgetExceeded as e:
         detail = {"status": "budget_exceeded", "size": e.size}
     except WitnessNotFound as e:
@@ -138,17 +135,7 @@ def _check_table(args):
         where = traceback.extract_tb(e.__traceback__)[-1]
         place = f"{Path(where.filename).name}:{where.lineno} in {where.name}"
         detail = {"status": "error", "error": f"{type(e).__name__}: {e} ({place})"}
-    return {"order": len(rows), "table": [list(r) for r in rows], **detail}
-
-
-def _record(result: dict) -> dict:
-    """The output record of a result: the report, or the failure itself."""
-    return result["report"] if result["status"] == "ok" else result
-
-
-def _check_tables(args):
-    _bind_checking()  # a no-op after a fork; a worker started afresh binds here
-    return [_check_table(a) for a in args]
+    return {"order": S.order, "table": [list(r) for r in S.table], **detail}
 
 
 class WorkerLost(RuntimeError):
@@ -230,22 +217,6 @@ def _ordered_map(fn, tasks, jobs: int, ahead: int, describe):
             process.join()
 
 
-def _map_tables(tables, budget: int, jobs: int, chunk: int):
-    """The result of each table, in table order, yielded as it arrives.
-
-    The tables go out to ``jobs`` workers in chunks of ``chunk``, in
-    order, and at most ``jobs + 1`` chunks are out at once.
-    """
-    args = ((rows, budget) for rows in tables)
-    blocks = iter(lambda: list(islice(args, chunk)), [])
-
-    def describe(index, block):
-        return f"tables {index * chunk + 1} to {index * chunk + len(block)}"
-
-    for results in _ordered_map(_check_tables, blocks, jobs, jobs + 1, describe):
-        yield from results
-
-
 def _render_report_text(report: dict) -> str:
     lines = [f"order {report['order']}  table {report['table']}"]
     lines.append(f"  classification: {report['classification']}")
@@ -265,8 +236,8 @@ def _render_report_text(report: dict) -> str:
 
 
 def _render_result_text(result: dict) -> str:
-    if result["status"] == "ok":
-        return _render_report_text(result["report"])
+    if "status" not in result:
+        return _render_report_text(result)
     if result["status"] == "budget_exceeded":
         return (
             f"order {result['order']}  table {result['table']}\n"
@@ -275,35 +246,14 @@ def _render_result_text(result: dict) -> str:
     return f"order {result['order']}  table {result['table']}\n  {result['status'].upper()}: {result['error']}"
 
 
-def cmd_check(ns) -> int:
-    semigroups = list(read_corpus(ns.file, strict=ns.strict))
-    if not semigroups:
-        raise CorpusError("no tables found in input")
-    jobs = min(ns.jobs, len(semigroups))
-    chunk = max(1, len(semigroups) // (jobs * 8))
-    results = list(_map_tables([S.table for S in semigroups], ns.budget, jobs, chunk))
-    if ns.format == "json":
-        if len(results) == 1:
-            print(_json_doc(_record(results[0])))
-        else:
-            for result in results:
-                print(_json_line(_record(result)))
-    else:
-        print("\n".join(_render_result_text(r) for r in results))
-    if any(r["status"] != "ok" for r in results):
-        return EXIT_INCONSISTENT
-    return EXIT_OK
-
-
-# --- verify-theorem ---------------------------------------------------------
+# --- the shard tasks of check and verify-theorem -----------------------------
 
 
 def _outcome(result: dict) -> tuple:
-    """What the summary counts of one result: (order, ok, lemma, failure)."""
-    if result["status"] == "ok":
-        report = result["report"]
-        failed = report["is_equational_domain"] or report["separating_point"] is None
-        return report["order"], True, report["lemma"], "equational_domains" if failed else None
+    """What the summary counts of one record: (order, ok, lemma, failure)."""
+    if "status" not in result:  # a report
+        failed = result["is_equational_domain"] or result["separating_point"] is None
+        return result["order"], True, result["lemma"], "equational_domains" if failed else None
     failure = "budget_exceeded" if result["status"] == "budget_exceeded" else "inconsistent"
     return result["order"], False, None, failure
 
@@ -322,27 +272,68 @@ def _count(per_order: dict, outcome: tuple):
 
 
 def _check_shard(task):
-    """Pool task: for each table of one shard of the search, in order, its
-    finished JSON line (None for text output) and its outcome."""
-    order, mode, start, stop, budget, as_json = task
+    """Pool task ``(tables, budget, render)``: for each table that
+    ``tables()`` yields, in order, its finished output (None if ``render``
+    is None) and its outcome."""
+    tables, budget, render = task
     _bind_checking()  # a no-op after a fork; a worker started afresh binds here
-    for S in enumerate_tables(order, mode, True, start, stop):
-        result = _check_table((S.table, budget))
-        yield _json_line(_record(result)) if as_json else None, _outcome(result)
+    for S in tables():
+        result = _check_table(S, budget)
+        yield None if render is None else render(result), _outcome(result)
 
 
-def _theorem_shards(ns, mode: str):
+def _run_shards(tasks, jobs: int, describe):
+    """The outcome of each table of the shard tasks, in order, printing
+    each table's output as it comes."""
+    ahead = SHARDS_AHEAD_PER_JOB * jobs
+    for shard in _ordered_map(_check_shard, tasks, jobs, ahead, describe):
+        for text, outcome in shard:
+            if text is not None:
+                print(text)
+            yield outcome
+
+
+# --- check -----------------------------------------------------------------
+
+
+def cmd_check(ns) -> int:
+    semigroups = list(read_corpus(ns.file, strict=ns.strict))
+    if not semigroups:
+        raise CorpusError("no tables found in input")
+    if ns.format == "text":
+        render = _render_result_text
+    else:
+        render = _json_doc if len(semigroups) == 1 else _json_line
+    size = -(-len(semigroups) // (SHARDS_PER_JOB * ns.jobs))
+    tasks = (
+        (partial(iter, semigroups[i : i + size]), ns.budget, render)
+        for i in range(0, len(semigroups), size)
+    )
+
+    def describe(index, task):
+        return f"tables {index * size + 1} to {min(index * size + size, len(semigroups))}"
+
+    failures = sum(not ok for _, ok, _, _ in _run_shards(tasks, ns.jobs, describe))
+    return EXIT_OK if failures == 0 else EXIT_INCONSISTENT
+
+
+# --- verify-theorem ---------------------------------------------------------
+
+
+def _theorem_shards(ns):
     """The pool tasks of verify-theorem: each order's search, in shards,
-    or whole at one job."""
+    or whole at one job, which has no use for the cut pass of split_search."""
+    mode = _CLI_MODES[ns.mode]
+    render = _json_line if ns.format == "json" else None
     pieces = 1 if ns.jobs == 1 else SHARDS_PER_JOB * ns.jobs
     for order in range(2, ns.max_order + 1):
         starts = split_search(order, mode, pieces)
         for start, stop in zip(starts, starts[1:] + [None]):
-            yield order, mode, start, stop, ns.budget, ns.format == "json"
+            yield partial(enumerate_tables, order, mode, True, start, stop), ns.budget, render
 
 
 def _describe_shard(index, task):
-    order, _, start, stop, *_ = task
+    order, _, _, start, stop = task[0].args
     end = "the end" if stop is None else f"node {list(stop)}"
     return f"the order-{order} search from node {list(start)} to {end}"
 
@@ -351,15 +342,9 @@ def cmd_verify_theorem(ns) -> int:
     if not 1 <= ns.max_order:
         raise ValueError("--max-order must be >= 1")
     _check_order("--max-order", ns.max_order, ns.allow_large)
-    mode = _CLI_MODES[ns.mode]
     per_order: dict[int, dict] = {}
-    shards = _theorem_shards(ns, mode)
-    ahead = SHARDS_AHEAD_PER_JOB * ns.jobs
-    for shard in _ordered_map(_check_shard, shards, ns.jobs, ahead, _describe_shard):
-        for line, outcome in shard:
-            if line is not None:
-                print(line)
-            _count(per_order, outcome)
+    for outcome in _run_shards(_theorem_shards(ns), ns.jobs, _describe_shard):
+        _count(per_order, outcome)
     checked = sum(stats["tables"] for stats in per_order.values())
     failures = sum(
         stats["equational_domains"] + stats["budget_exceeded"] + stats["inconsistent"]
@@ -538,32 +523,35 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format (default json)"
     )
-    common.add_argument(
-        "--budget", type=int, default=None, help="cap on the size of the computed clone"
-    )
-    common.add_argument("--strict", action="store_true", help="fail on any invalid corpus table")
-    common.add_argument("--allow-large", action="store_true", help="lift the soft order/arity limits")
+    # the other options, each a parent of only the commands that read it
+    budget, strict, large = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    budget.add_argument("--budget", type=int, default=None, help="cap on the size of the computed clone")
+    strict.add_argument("--strict", action="store_true", help="fail on any invalid corpus table")
+    large.add_argument("--allow-large", action="store_true", help="lift the soft order/arity limits")
+    one_table = [common, budget, strict, large]  # the parents of closure and term-functions
 
     sub = parser.add_subparsers(dest="command", required=True)
-    add = partial(sub.add_parser, parents=[common], formatter_class=_HelpFormatter)
+    add = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p = add("check", help="verify one table (or a corpus) end to end")
+    p = add("check", parents=[common, budget, strict], help="verify one table (or a corpus) end to end")
     p.add_argument("file", help="Cayley table file")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_check)
 
-    p = add("verify-theorem", help="check every semigroup up to a maximum order")
+    p = add(
+        "verify-theorem", parents=[common, budget, large], help="check every semigroup up to a maximum order"
+    )
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_CLI_MODES), default="raw")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = add("enumerate", help="stream all tables of one order")
+    p = add("enumerate", parents=[common, large], help="stream all tables of one order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_CLI_MODES), default="raw")
     p.set_defaults(func=cmd_enumerate)
 
-    p = add("closure", help="algebraic closure of a point set over one table")
+    p = add("closure", parents=one_table, help="algebraic closure of a point set over one table")
     p.add_argument("file", help="Cayley table file")
     p.add_argument(
         "--set",
@@ -573,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, default=None)
     p.set_defaults(func=cmd_closure)
 
-    p = add("term-functions", help="count the term functions of one table")
+    p = add("term-functions", parents=one_table, help="count the term functions of one table")
     p.add_argument("file", help="Cayley table file")
     p.add_argument("--arity", type=int, required=True)
     p.set_defaults(func=cmd_term_functions)
@@ -587,9 +575,9 @@ def main(argv=None) -> int:
     # so an error in enumerate never looks the name up.
     inconsistent = (WorkerLost,)
     try:
-        if ns.budget is not None and ns.budget < 1:
-            raise ValueError("--budget must be >= 1")
         if ns.command in _CHECKING_COMMANDS:
+            if ns.budget is not None and ns.budget < 1:
+                raise ValueError("--budget must be >= 1")
             _bind_checking()
             inconsistent = (WorkerLost, BudgetExceeded)
             if ns.budget is None:

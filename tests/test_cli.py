@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import eqdomain.cli as cli
 import eqdomain.enumeration as enumeration
-from eqdomain import DEFAULT_BUDGET, enumerate_tables, format_table
-from eqdomain.cli import _map_tables, main
+from eqdomain import DEFAULT_BUDGET, check_semigroup, enumerate_tables, format_table
+from eqdomain.cli import main
 from eqdomain.enumeration import split_search
 from support import A2, CHAIN3, LEFT_ZERO, MIN2, NULL2, RECT_BAND_2X2, RIGHT_ZERO, Z2
 
@@ -44,6 +45,25 @@ def run(capsys, *argv):
 def src_env():
     """The environment with this checkout's src first on PYTHONPATH."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def write_corpus(path, tables):
+    """Write ``tables`` to ``path`` in the corpus text format; return the path as a str."""
+    path.write_text("\n\n".join(format_table(S) for S in tables) + "\n")
+    return str(path)
+
+
+class FirstWrite(io.StringIO):
+    """A stdout that records how many tables were checked at its first write."""
+
+    def __init__(self, checks):
+        super().__init__()
+        self.checks, self.at = checks, None
+
+    def write(self, text):
+        if self.at is None:
+            self.at = len(self.checks)
+        return super().write(text)
 
 
 def fails_on(table):
@@ -141,9 +161,42 @@ class TestCheck:
 
     def test_budget_zero_is_exit_2_on_every_command(self, capsys, table_file):
         path = table_file(Z2)
-        for argv in [*budgeted_commands(path), ("enumerate", "--order", "2")]:
+        for argv in budgeted_commands(path):
             code, out, err = run(capsys, *argv, "--budget", "0")
             assert (code, out, err) == (2, "", "error: --budget must be >= 1\n"), argv
+        # enumerate computes no clone, so it takes no --budget at all
+        with pytest.raises(SystemExit) as exited:
+            main(["enumerate", "--order", "2", "--budget", "0"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --budget 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("enumerate", "--order", "2"), "--strict"),
+            (("verify-theorem", "--max-order", "2"), "--strict"),
+            (("check", "{table}"), "--allow-large"),
+        ],
+        ids=["enumerate-strict", "verify-theorem-strict", "check-allow-large"],
+    )
+    def test_an_option_a_command_does_not_read_is_rejected(self, capsys, table_file, argv, option):
+        # enumerate's --budget is rejected in test_budget_zero_is_exit_2_on_every_command
+        argv = [arg.format(table=table_file(Z2)) for arg in argv]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, option])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_jobs_1_writes_each_table_as_it_is_checked(self, monkeypatch, tmp_path):
+        # one job reads the corpus's shards in this process, a table at a
+        # time: the first line is written before the second table is checked
+        corpus = write_corpus(tmp_path / "order3.txt", enumerate_tables(3))
+        checks = []
+        monkeypatch.setattr(cli, "check_semigroup", counting(cli.check_semigroup, checks))
+        with contextlib.redirect_stdout(FirstWrite(checks)) as stdout:
+            assert main(["check", corpus, "--jobs", "1"]) == 0
+        assert stdout.at == 1
+        assert len(checks) == 113
 
 
 def budgeted_commands(path):
@@ -204,18 +257,11 @@ class TestVerifyTheorem:
     def test_jobs_1_writes_each_table_as_it_is_checked(self, monkeypatch):
         # one job reads its shards in this process, a table at a time: the
         # first line is written before the second table is checked
-        checks, first_write = [], []
+        checks = []
         monkeypatch.setattr(cli, "check_semigroup", counting(cli.check_semigroup, checks))
-
-        class Stdout(io.StringIO):
-            def write(self, text):
-                if not first_write:
-                    first_write.append(len(checks))
-                return super().write(text)
-
-        with contextlib.redirect_stdout(Stdout()):
+        with contextlib.redirect_stdout(FirstWrite(checks)) as stdout:
             assert main(["verify-theorem", "--max-order", "4", "--jobs", "1"]) == 0
-        assert first_write == [1]
+        assert stdout.at == 1
         assert len(checks) == 3_613
 
     def test_jobs_1_runs_no_cut_pass(self, capsys, monkeypatch):
@@ -274,12 +320,11 @@ class TestVerifyTheorem:
         assert tables == sorted(tables)
 
     @pytest.mark.parametrize("command", ["verify-theorem", "check"])
-    def test_dead_worker_is_reported(self, command, tmp_path):
+    def test_dead_worker_is_reported(self, capsys, command, tmp_path):
         # A worker that dies takes its task with it: the run names the lost
         # tables and ends with exit 3 instead of waiting for them forever.
-        corpus = tmp_path / "order4.txt"
-        corpus.write_text("\n\n".join(format_table(S) for S in enumerate_tables(4)) + "\n")
-        argv = ["verify-theorem", "--max-order", "4"] if command == "verify-theorem" else ["check", str(corpus)]
+        corpus = write_corpus(tmp_path / "order4.txt", enumerate_tables(4))
+        argv = ["verify-theorem", "--max-order", "4"] if command == "verify-theorem" else ["check", corpus]
         proc = subprocess.run(
             [sys.executable, "-c", DIES_ON_TABLE_2001, *argv, "--jobs", "2"],
             capture_output=True,
@@ -292,6 +337,9 @@ class TestVerifyTheorem:
         assert "Traceback" not in proc.stderr
         # what is written comes before the lost table, and there is no summary
         assert len(proc.stdout.splitlines()) < 8 + 113 + 2000
+        # the shards before the lost one are printed, as one job prints them
+        _, serial, _ = run(capsys, *argv, "--jobs", "1")
+        assert proc.stdout and serial.startswith(proc.stdout)
 
     def test_no_more_workers_than_shards(self, capsys, monkeypatch):
         started = []
@@ -312,23 +360,24 @@ class TestVerifyTheorem:
         shards = sum(len(split_search(n, "raw", cli.SHARDS_PER_JOB * 64)) for n in (2, 3))
         assert len(started) == shards and 1 < shards < 64
 
-    def test_map_tables_reads_a_stream_in_order(self):
-        pulled = 0
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ordered_map_reads_its_tasks_lazily_in_order(self, jobs):
+        pulled, ahead = 0, 3
 
-        def tables():
+        def tasks():
             nonlocal pulled
             for S in enumerate_tables(3):
                 pulled += 1
-                yield S.table
+                yield partial(iter, [S]), DEFAULT_BUDGET, cli._json_line
 
-        results = _map_tables(tables(), DEFAULT_BUDGET, 2, 4)
-        first = next(results)
-        # at most jobs + 1 chunks of 4 are out before the first result
-        assert pulled <= 12
-        rest = list(results)
+        results = cli._ordered_map(cli._check_shard, tasks(), jobs, ahead, lambda index, task: f"task {index}")
+        first = list(next(results))
+        # at most jobs + ahead tasks are out before the first result
+        assert 1 <= pulled <= jobs + ahead
+        shards = [first, *map(list, results)]
         assert pulled == 113
-        serial = _map_tables((S.table for S in enumerate_tables(3)), DEFAULT_BUDGET, 1, 4)
-        assert [first, *rest] == list(serial)
+        reports = [json.loads(line) for shard in shards for line, _ in shard]
+        assert reports == [check_semigroup(S, budget=DEFAULT_BUDGET).to_jsonable() for S in enumerate_tables(3)]
 
 
 # md5 of whole report streams, frozen from the output of the separate lemma
@@ -356,11 +405,14 @@ class TestFrozenStreams:
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("fmt", sorted(FROZEN_CHECK))
-    def test_check_one_table_per_lemma(self, capsys, tmp_path, fmt):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("\n\n".join(format_table(S) for S in LEMMA_CORPUS) + "\n")
-        code, out, _ = run(capsys, "check", str(corpus), "--format", fmt)
+    @pytest.mark.parametrize(
+        "fmt, jobs",
+        [("json", "1"), ("text", "1"), ("json", "2"), ("text", "2")],
+        ids=["json", "text", "json-jobs2", "text-jobs2"],
+    )
+    def test_check_one_table_per_lemma(self, capsys, tmp_path, fmt, jobs):
+        corpus = write_corpus(tmp_path / "corpus.txt", LEMMA_CORPUS)
+        code, out, _ = run(capsys, "check", corpus, "--format", fmt, "--jobs", jobs)
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == FROZEN_CHECK[fmt]
 
