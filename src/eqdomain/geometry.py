@@ -333,59 +333,41 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     restriction and confirmed by comparing restrictions; the first member
     of a group, in discovery order, is its representative.
 
-    Restrictions are never gathered.  Each stored row is read as uint64
-    words and ANDed with a mask that has every bit of the values at Y set
-    and every other bit clear, the pad included: 0x0F or 0xF0 for a point
-    stored in a nibble, 0xFF for one stored in a byte.  So two rows agree
-    on Y exactly when their masked words are equal.  A member differs from
-    its representative at the nonzero values of their XOR: the points that
-    stay in the closure are the zero values of the OR of all these XORs,
-    and the members whose masked XOR is nonzero share a hash but not a
-    restriction with the representative.
+    Restrictions are never gathered.  The clone is built with Y's points
+    stored first, so the restriction of a function to Y is the first
+    ``layout.lead`` bytes of its row, a view hashed as it is.  One stable
+    argsort of the hashes puts each group in a run whose first entry is
+    its representative.  A member whose leading bytes differ from its
+    representative's only shares a hash with it; the rows of such a hash
+    are regrouped by their bytes.  The points that leave the closure are
+    those where some member differs from its representative, read from
+    the rest of their rows by :meth:`_RowLayout.differing`.
     """
     import numpy as np
 
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
-    funcs = term_functions(S, Y.k, budget=budget)
-    layout = funcs.layout
-    words = funcs.rows.view(np.uint64)
-    npoints = layout.npoints
-    on_y = np.zeros(layout.values_width, dtype=np.uint8)
-    on_y[:npoints] = layout.value_mask * Y._bool_array()
-    on_y = layout.pack(on_y).view(np.uint64)
+    funcs = term_functions(S, Y.k, budget=budget, first=np.flatnonzero(Y._bool_array()))
+    head = funcs.rows[:, : funcs.layout.lead]
     step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
-
-    def restrict(rows) -> np.ndarray:
-        # the given rows with every byte outside Y zeroed
-        return (words[rows] & on_y).view(np.uint8)
-
-    def fold(rep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (points where every member agrees with its representative,
-        #  the members, the members whose restriction differs from it)
-        members = np.flatnonzero(rep != np.arange(len(rep)))
-        differ = np.zeros(len(on_y), dtype=np.uint64)
-        split = []
-        for s in range(0, len(members), step):
-            part = members[s : s + step]
-            diff = words[part]
-            diff ^= words[rep[part]]
-            differ |= np.bitwise_or.reduce(diff, axis=0)
-            diff &= on_y
-            split.append(part[diff.any(axis=1)])
-        keep = layout.unpack(differ.view(np.uint8))[:npoints] == 0
-        return keep, members, np.concatenate([members[:0], *split])
-
-    hashes = np.concatenate(
-        [_row_hashes(restrict(slice(s, s + step))) for s in range(0, len(words), step)]
-    )
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    keep, members, split = fold(rep)
+    hashes = np.concatenate([_row_hashes(head[s : s + step]) for s in range(0, len(head), step)])
+    by_hash = np.argsort(hashes, kind="stable")
+    ordered = hashes[by_hash]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    rep = np.empty_like(by_hash)
+    rep[by_hash] = by_hash[starts][np.cumsum(starts) - 1]
+    members = np.flatnonzero(rep != np.arange(len(rep)))
+    words = head.view(np.uint64)
+    split = [members[:0]]
+    for s in range(0, len(members), step):
+        part = members[s : s + step]
+        split.append(part[(words[part] != words[rep[part]]).any(axis=1)])
+    split = np.concatenate(split)
     if len(split):
-        # a hash shared by different restrictions: regroup exactly, fold again
-        _regroup(rep, hashes, split, restrict)
-        keep, members, _ = fold(rep)
+        # a hash shared by different restrictions: regroup exactly
+        _regroup(rep, hashes, split, lambda rows: head[rows])
+        members = np.flatnonzero(rep != np.arange(len(rep)))
+    keep = ~funcs.layout.differing(funcs.rows, members, rep[members])
     closure = PointSet._from_bool(keep, Y.n, Y.k)
     return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)
 

@@ -48,7 +48,7 @@ __all__ = [
 
 MAX_EXPONENT = 64  # parser bound; keeps one factor from expanding unboundedly
 DEFAULT_BUDGET = 1_000_000
-BLOCK_BYTES = 1 << 21  # product values formed per step of the term-function search
+BLOCK_BYTES = 1 << 21  # product bytes formed per step of the term-function search
 _HASH_CHUNK_BYTES = 1 << 17
 
 
@@ -386,70 +386,136 @@ def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
             rep[m] = seen.setdefault(row.tobytes(), m)
 
 
+@functools.lru_cache(maxsize=32)
+def _digit_table(order: int) -> np.ndarray:
+    """``digits[b, t]``: digit t of the byte b in base ``order``, the value
+    of slot t of a stored byte, for the most places d with order**d <= 256,
+    at most 8.  Read-only, as it is shared."""
+    import numpy as np
+
+    places = next(d for d in range(8, 0, -1) if order**d <= 256)
+    digits = np.arange(256)[:, None] // order ** np.arange(places) % order
+    digits = digits.astype(np.uint8)
+    digits.flags.writeable = False
+    return digits
+
+
+@functools.lru_cache(maxsize=32)
+def _differing_digits(order: int) -> np.ndarray:
+    """The 65,536-entry table whose entry ``a + 256*b`` has bit t set when
+    digit t of the stored bytes a and b differ.  Read-only, as it is shared."""
+    import numpy as np
+
+    digits = _digit_table(order)
+    table = np.zeros((256, 256), dtype=np.uint8)  # table[b, a]
+    for t in range(digits.shape[1]):
+        table |= (digits[None, :, t] != digits[:, None, t]).astype(np.uint8) << t
+    table = table.ravel()
+    table.flags.writeable = False
+    return table
+
+
 class _RowLayout:
     """How the ``order**arity`` values of a term function are stored in a row.
 
-    With order <= 16 every value fits in a nibble, so a row holds two
-    values per byte: value 2j in the low nibble of byte j, value 2j+1 in
-    its high nibble.  Larger orders store one value per byte, and then
-    :meth:`pack` and :meth:`unpack` return their input.  A stored row is
-    ``width`` bytes, zero-padded to whole 8-byte words so that rows read
-    as uint64 words; ``values_width`` is the same row at one value per
-    byte, pad included.  ``value_mask`` has every bit a stored value can
-    set.
+    A row is a sequence of slots, each holding the value at one point.  A
+    byte holds ``per_byte`` slots as the digits of a base-``order`` number,
+    slot t as digit t: 8 at order 2, 5 at order 3, 4 at order 4, 3 at orders
+    5–6, 2 at orders 7–16 and 1 above.  The points of ``first`` take the
+    first slots, then the other points, both in encoded order, and each of
+    the two groups is padded to whole 8-byte words, so that rows read as
+    uint64 words and the first points fill the ``lead`` bytes of a row.  A
+    stored row is ``width`` bytes.
+
+    ``slots[s]`` is the point whose value slot s holds, and ``where[p]``
+    the slot of point p.  Pad slots hold the point (pad, ..., pad): for an
+    idempotent ``pad`` every term function takes the value ``pad`` there,
+    so pad slots never differ between rows and the products of stored rows
+    need no masking.
     """
 
-    def __init__(self, order: int, arity: int):
+    def __init__(self, order: int, arity: int, pad: int = 0, first=()):
+        import numpy as np
+
+        self.order = order
+        self.arity = arity
         self.npoints = order**arity
-        self.per_byte = 2 if order <= 16 else 1
-        self.width = -(-self.npoints // (8 * self.per_byte)) * 8
-        self.values_width = self.per_byte * self.width
-        self.value_mask = 0x0F if self.per_byte == 2 else 0xFF
+        self.per_byte = _digit_table(order).shape[1]
+        word = 8 * self.per_byte  # slots per 8-byte word
+        chosen = np.zeros(self.npoints, dtype=bool)
+        chosen[np.asarray(first, dtype=np.intp)] = True
+        head, rest = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+        lead_slots = -(-len(head) // word) * word
+        self.slots = np.full(lead_slots + -(-len(rest) // word) * word, encode_point((pad,) * arity, order))
+        self.slots[: len(head)] = head
+        self.slots[lead_slots : lead_slots + len(rest)] = rest
+        self.where = np.empty(self.npoints, dtype=np.intp)
+        self.where[head] = np.arange(len(head))
+        self.where[rest] = np.arange(lead_slots, lead_slots + len(rest))
+        self.lead = lead_slots // self.per_byte
+        self.width = len(self.slots) // self.per_byte
+        self.weights = (order ** np.arange(self.per_byte)).astype(np.uint8)
 
     def pack(self, values: np.ndarray) -> np.ndarray:
-        """The rows of ``values`` (one value per byte, each below 16 when
-        packed) in the stored layout."""
+        """The rows of ``values`` (one value per point, in encoded order)
+        in the stored layout."""
         import numpy as np
 
-        if self.per_byte == 1:
-            return values
-        out = np.empty(values.shape[:-1] + (self.width,), dtype=np.uint8)
-        # read as little-endian pairs v + 256*w, (v + 256*w) >> 4 is 16*w
-        # and the low byte of 16*w | v + 256*w is v + 16*w
-        pairs = values.view("<u2")
-        np.right_shift(pairs, 4, out=out, casting="unsafe")
-        np.bitwise_or(out, pairs, out=out, casting="unsafe")
-        return out
+        slots = np.take(np.asarray(values, dtype=np.uint8), self.slots, axis=-1)
+        slots = slots.reshape(slots.shape[:-1] + (self.width, self.per_byte))
+        # each term is at most (order-1) * order**t, and the byte's sum
+        # at most order**per_byte - 1, so uint8 never wraps
+        return (slots * self.weights).sum(axis=-1, dtype=np.uint8)
 
     def unpack(self, rows: np.ndarray) -> np.ndarray:
-        """The stored ``rows`` at one value per byte."""
+        """The values of the stored ``rows``, one per point, in encoded order."""
         import numpy as np
 
-        if self.per_byte == 1:
-            return rows
-        out = np.empty(rows.shape[:-1] + (self.values_width,), dtype=np.uint8)
-        # byte b = v + 16*w becomes the pair (b | b << 4) & 0x0F0F = v + 256*w
-        pairs = out.view("<u2")
-        np.left_shift(rows, 4, out=pairs, dtype=pairs.dtype)
-        np.bitwise_or(pairs, rows, out=pairs)
-        np.bitwise_and(pairs, 0x0F0F, out=pairs)
-        return out
+        slots = _digit_table(self.order)[rows]
+        return np.take(slots.reshape(rows.shape[:-1] + (-1,)), self.where, axis=-1)
+
+    def differing(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether row ``a[i]`` of ``rows`` differs from row ``b[i]``, for
+        some i, at each point: a bool per point, in encoded order.
+
+        Only the bytes after the ``lead`` are read, so the first points
+        read False.  Each byte pair is looked up in the table of
+        :func:`_differing_digits`, a slice of rows at a time, and the bits
+        are ORed over the pairs.
+        """
+        import numpy as np
+
+        rest = rows[:, self.lead :]
+        table = _differing_digits(self.order)
+        bits = np.zeros(rest.shape[1], dtype=np.uint8)
+        step = max(1, _HASH_CHUNK_BYTES // max(1, rest.shape[1]))
+        for s in range(0, len(a), step):
+            index = np.left_shift(rest[b[s : s + step]], 8, dtype=np.uint16)
+            index |= rest[a[s : s + step]]
+            bits |= np.bitwise_or.reduce(np.take(table, index), axis=0)
+        slots = np.zeros(len(self.slots), dtype=bool)
+        flags = np.unpackbits(bits[:, None], axis=1, count=self.per_byte, bitorder="little")
+        slots[self.lead * self.per_byte :] = flags.ravel()
+        return slots[self.where]
 
 
 class _CloneTable:
-    """Distinct zero-padded rows in discovery order, with an exact hash index.
+    """Distinct stored rows in discovery order, with an exact hash index.
 
     The index is open addressing with linear probing over two arrays: slot
-    s holds the row numbered ``ids[s]``, whose hash is ``keys[s]``, or the
-    largest intp when it is free.  A row starts at the slot named by the
-    top bits of its hash and moves on until it reaches a free slot, which
-    it claims, or a slot whose key and row bytes both equal its own, so a
+    s holds the row numbered ``ids[s]``, whose hash is ``keys[s]``, or
+    ``free`` when it is free.  A row starts at the slot named by the top
+    bits of its hash and moves on until it reaches a free slot, which it
+    claims, or a slot whose key and row bytes both equal its own, so a
     hash shared by different rows only sends the later row on down the
     chain.  The index starts at 1,024 slots and doubles before it could
     pass half full, and a block of rows settles in a few vectorized rounds.
+    Row numbers, the index's and the parents', are int32 unless the budget
+    needs int64, and letters take the narrowest unsigned type that holds
+    the arity.
     """
 
-    def __init__(self, width: int, budget: int):
+    def __init__(self, width: int, budget: int, arity: int):
         import numpy as np
 
         self.budget = budget
@@ -457,8 +523,13 @@ class _CloneTable:
         self.count = 0
         self.parents: list[np.ndarray] = []
         self.letters: list[np.ndarray] = []
+        # a block's provisional numbers run at most a block past the budget
+        small = budget + BLOCK_BYTES < np.iinfo(np.int32).max
+        self.id_type = np.dtype(np.int32 if small else np.int64)
+        self.letter_type = np.min_scalar_type(arity - 1)
+        self.free = np.iinfo(self.id_type).max
         self.keys = np.zeros(1 << 10, dtype=np.uint64)
-        self.ids = np.full(1 << 10, np.iinfo(np.intp).max)
+        self.ids = np.full(1 << 10, self.free, dtype=self.id_type)
 
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
         """The uint64 words of the rows numbered ``ids``: the stored rows
@@ -484,7 +555,7 @@ class _CloneTable:
         """
         import numpy as np
 
-        free = np.iinfo(np.intp).max
+        free = self.free
         mask = len(self.ids) - 1
         slot = (keys >> np.uint64(64 - mask.bit_length())).astype(np.intp)
         todo = np.arange(len(ids))
@@ -515,10 +586,10 @@ class _CloneTable:
         while 2 * (self.count + extra) > size:
             size *= 2
         if size > len(self.ids):
-            used = self.ids != np.iinfo(np.intp).max
+            used = self.ids != self.free
             keys, ids = self.keys[used], self.ids[used]
             self.keys = np.zeros(size, dtype=np.uint64)
-            self.ids = np.full(size, np.iinfo(np.intp).max)
+            self.ids = np.full(size, self.free, dtype=self.id_type)
             self._settle(keys, ids)
 
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
@@ -548,11 +619,11 @@ class _CloneTable:
         # the indices are in range; the default mode="raise" would first
         # build the result in a temporary and then copy it into out
         np.take(rows, new, axis=0, out=self.rows[start:end], mode="clip")
-        self.parents.append(parent[new])
-        self.letters.append(letter[new])
+        self.parents.append(parent[new].astype(self.id_type))
+        self.letters.append(letter[new].astype(self.letter_type))
         self.count = end
 
-    def functions(self, order: int, arity: int) -> TermFunctions:
+    def functions(self, layout: _RowLayout) -> TermFunctions:
         """The stored rows as term functions; the table takes no more rows.
 
         The index is dropped first, so the joined parents and letters can
@@ -562,38 +633,36 @@ class _CloneTable:
 
         self.keys = self.ids = None
         parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
-        return TermFunctions(order, arity, self.rows[: self.count], parents, letters)
+        return TermFunctions(layout, self.rows[: self.count], parents, letters)
 
 
 class _ProductCodes:
-    """The lookup table of :func:`_right_products` for one table and arity.
+    """The lookup table of :func:`_right_products` for one table and layout.
 
     ``lut[b + 256*c]`` is the stored byte of the products of the values
-    in a stored byte b by the coordinates in a stored byte c, nibble by
-    nibble at orders <= 16 and byte by byte above.  ``projections[i]`` is
-    the stored row of coordinate i of every point, ``coords[i]`` the same
-    row as uint16 shifted into the high byte, and ``pad`` has every bit of
-    a stored value set and the pad clear.  ``out`` holds the products of
-    the largest block so far, and ``index`` the lookup indices of a slice
-    of ``step`` rows.
+    in a stored byte b by the coordinates in a stored byte c, digit by
+    digit.  It is built one digit place at a time: with t places known, a
+    byte with one more place is ``low + order**t * top``, and its products
+    are those of the low places plus ``order**t`` times the product of the
+    top digits.  ``projections[i]`` is the stored row of coordinate i of
+    every point, and ``coords[i]`` the same row as uint16 shifted into the
+    high byte.  ``out`` holds the products of the largest block so far,
+    and ``index`` the lookup indices of a slice of ``step`` rows.
     """
 
-    def __init__(self, table: np.ndarray, arity: int):
+    def __init__(self, table: np.ndarray, layout: _RowLayout):
         import numpy as np
 
-        n = len(table)
-        layout = _RowLayout(n, arity)
-        square = np.zeros((layout.value_mask + 1,) * 2, dtype=np.uint8)
-        square[:n, :n] = table.T  # square[y, v] is v*y
-        if layout.per_byte == 2:
-            # square[c, b] becomes square[c & 15, b & 15] | square[c >> 4, b >> 4] << 4
-            square = np.tile(square, (16, 16)) | (square << 4).repeat(16, 0).repeat(16, 1)
-        self.lut = square.ravel()
-        values = np.zeros((arity + 1, layout.values_width), dtype=np.uint8)
-        values[:arity, : layout.npoints] = coordinate_grid(n, arity)
-        values[arity, : layout.npoints] = layout.value_mask
-        packed = layout.pack(values)
-        self.projections, self.pad = packed[:arity], packed[arity]
+        n = layout.order
+        square = np.asarray(table, dtype=np.uint8).T  # square[y, v] is v*y
+        codes = np.zeros((1, 1), dtype=np.uint8)  # codes[c, b] over t places
+        for t in range(layout.per_byte):
+            size = n ** (t + 1)
+            codes = (codes[None, :, None, :] + n**t * square[:, None, :, None]).reshape(size, size)
+        lut = np.zeros((256, 256), dtype=np.uint8)
+        lut[:size, :size] = codes
+        self.lut = lut.ravel()
+        self.projections = layout.pack(coordinate_grid(layout.order, layout.arity))
         self.coords = self.projections.astype(np.uint16) << 8
         self.step = max(1, _HASH_CHUNK_BYTES // layout.width)
         self.index = np.empty((self.step, layout.width), dtype=np.uint16)
@@ -605,10 +674,11 @@ def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes
     ``x_{letters[b]+1}``, pointwise, as a stored row.
 
     Each byte of a row is ORed below the byte of its variable's
-    coordinates, the table of :class:`_ProductCodes` maps the uint16 to
-    the byte of products, and the pad is cleared.  This goes a slice of
-    rows at a time, as ``np.take`` casts the indices to an intp temporary.
-    The products are written to ``codes.out``, which is grown only when a
+    coordinates, and the table of :class:`_ProductCodes` maps the uint16
+    to the byte of products.  Pad slots hold the point (e, ..., e), so
+    they hold products like any other slot.  This goes a slice of rows at
+    a time, as ``np.take`` casts the indices to an intp temporary.  The
+    products are written to ``codes.out``, which is grown only when a
     block outgrows it, so each block reuses the pages of the last.
     """
     import numpy as np
@@ -621,9 +691,7 @@ def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes
         index = codes.index[: min(codes.step, count - s)]
         np.take(codes.coords, letters[s : s + codes.step], axis=0, out=index, mode="clip")
         index |= cells[s : s + codes.step]
-        part = out[s : s + codes.step]
-        np.take(codes.lut, index, out=part, mode="clip")
-        part &= codes.pad
+        np.take(codes.lut, index, out=out[s : s + codes.step], mode="clip")
     return out
 
 
@@ -631,22 +699,22 @@ class TermFunctions(Sequence):
     """The term functions of one arity, in discovery order, held as arrays.
 
     ``rows[i]`` holds the values of function i in the layout of
-    :class:`_RowLayout` (``layout``): two per byte when ``order <= 16``,
-    one per byte above, zero-padded to a whole number of 8-byte words.
-    :attr:`TermFunction.values` is always one byte per point.  Function i
-    is function ``parent[i]`` times the variable ``letter[i]``, or that
-    variable alone when ``parent[i]`` is -1, so its witness word is read
-    back along the parents.  Items are built as :class:`TermFunction` on
-    access.
+    :class:`_RowLayout` (``layout``): several per byte, as base-``order``
+    digits, the layout's first points ahead of the rest.
+    :attr:`TermFunction.values` is always one byte per point, in encoded
+    order.  Function i is function ``parent[i]`` times the variable
+    ``letter[i]``, or that variable alone when ``parent[i]`` is -1, so its
+    witness word is read back along the parents.  Items are built as
+    :class:`TermFunction` on access.
     """
 
-    def __init__(self, order: int, arity: int, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
-        self.order = order
-        self.arity = arity
+    def __init__(self, layout: _RowLayout, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
+        self.order = layout.order
+        self.arity = layout.arity
+        self.layout = layout
         self.rows = rows
         self.parent = parent
         self.letter = letter
-        self.layout = _RowLayout(order, arity)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -698,24 +766,11 @@ class TermFunctions(Sequence):
             yield texts[-1]
 
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
-        values = self.layout.unpack(self.rows[i])[: self.layout.npoints].tobytes()
+        values = self.layout.unpack(self.rows[i]).tobytes()
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
 
 
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """``a`` itself, or when it has fewer than ``size`` rows a copy with at
-    least twice its rows, the new rows left unset so that until they are
-    written they take no memory."""
-    import numpy as np
-
-    if len(a) >= size:
-        return a
-    grown = np.empty((max(size, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    grown[: len(a)] = a
-    return grown
-
-
-def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> TermFunctions:
+def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, first=()) -> TermFunctions:
     """Every function S^arity -> S induced by a term, in discovery order.
 
     The set is the least one containing the coordinate projections and
@@ -744,26 +799,33 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
       word than u·x_j with the value of u·x_j, which the search reached
       earlier, so the pruned product would not have been new.
 
-    ``children[i + 1, j]`` is the id of the function whose witness is
-    word(i)·x_j, or -1 when that word is no witness; row 0 stands for the
-    empty word, whose children are the projections kept (only x1 at order
-    1).  ``suffix[i]`` is the id of suffix(i), or -1 for the empty word; a
-    new function's suffix is the child of its parent's suffix by its letter.
+    ``children[i, j]`` is the id of the function whose witness is
+    word(i)·x_j, or -1 when that word is no witness, for the functions i
+    of the level being expanded, and ``above`` is the same for the level
+    above, numbered from ``above_start``.  Above the first level lies the
+    empty word alone, id -1, whose children are the projections kept (only
+    x1 at order 1).  ``suffix[i]`` is the id of suffix(i), or -1 for the
+    empty word; a new function's suffix is the child of its parent's
+    suffix by its letter.  No other level's state is kept.
 
     The search goes a breadth-first level at a time.  The suffixes of a
     level lie one level up, whose children are all known, so the level's
     kept (function, variable) pairs are listed at once and multiplied in
-    blocks of at most ``BLOCK_BYTES`` product values.  The products come in
+    blocks of at most ``BLOCK_BYTES`` product bytes.  The products come in
     (function, variable) order and the first occurrence of each new value
     vector is kept, which is the order of the one-by-one search.
 
     The kernel multiplies the stored rows by a table lookup (see
     :class:`_ProductCodes`), so hashing, deduplication and the stored
-    matrix all work on the layout of :class:`_RowLayout`.  Each function
-    costs its n**arity values, stored two per byte at orders <= 16 and
-    padded to 8-byte words, plus a few dozen bytes of index, parent,
-    letter and search state.  So ``budget`` (a function count) also bounds
-    the memory: at order 5 and arity 4 a stored row is 320 bytes.
+    matrix all work on the layout of :class:`_RowLayout`, whose pad slots
+    hold the point (e, ..., e) of the least idempotent e.  The points of
+    ``first`` (encoded points) are stored ahead of the rest, in whole
+    8-byte words; the functions and their values are the same whatever it
+    is.  Each function costs its n**arity values, stored as base-n digits
+    (three per byte at order 5) and padded to 8-byte words, plus a few
+    dozen bytes of index, parent, letter and search state.  So ``budget``
+    (a function count) also bounds the memory: at order 5 and arity 4 a
+    stored row is 216 bytes.
     """
     import numpy as np
 
@@ -774,28 +836,31 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> Te
     n = S.order
     if n > 255:
         raise ValueError("value vectors are byte-packed; order must be <= 255")
-    layout = _RowLayout(n, arity)
-    codes = _ProductCodes(S.as_array(), arity)
-    clone = _CloneTable(layout.width, budget)
+    pad = next(e for e in range(n) if S.mul(e, e) == e)
+    layout = _RowLayout(n, arity, pad, first)
+    codes = _ProductCodes(S.as_array(), layout)
+    clone = _CloneTable(layout.width, budget, arity)
     clone.add(codes.projections, np.full(arity, -1), np.arange(arity))
-    children = np.full((clone.count + 1, arity), -1, dtype=np.int32)
-    children[0, clone.letters[0]] = np.arange(clone.count)
-    suffix = np.full(clone.count, -1, dtype=np.int32)
-    step = max(1, BLOCK_BYTES // layout.values_width)
+    ids = clone.id_type
+    above, above_start = np.full((1, arity), -1, dtype=ids), -1
+    above[0, clone.letters[0]] = np.arange(clone.count)
+    suffix = np.full(clone.count, -1, dtype=ids)
+    step = max(1, BLOCK_BYTES // layout.width)
     level = 0
     while level < clone.count:
         level_end = clone.count
-        children[level + 1 : level_end + 1] = -1  # the rows this level fills; _grown leaves them unset
-        pairs = np.flatnonzero(children[suffix[level:level_end] + 1] >= 0)
+        children = np.full((level_end - level, arity), -1, dtype=ids)
+        pairs = np.flatnonzero(above[suffix - above_start] >= 0)
+        next_suffix = np.empty(len(pairs), dtype=ids)
         for block in range(0, len(pairs), step):
             rows, letters = np.divmod(pairs[block : block + step], arity)
             rows += level
             start = clone.count
             clone.add(_right_products(clone.rows[rows], letters, codes), rows, letters)
-            children = _grown(children, clone.count + 1)
-            suffix = _grown(suffix, clone.count)
-            parent, letter = clone.parents[-1], clone.letters[-1]
-            children[parent + 1, letter] = np.arange(start, clone.count)
-            suffix[start : clone.count] = children[suffix[parent] + 1, letter]
+            parent, letter = clone.parents[-1] - level, clone.letters[-1]
+            children[parent, letter] = np.arange(start, clone.count)
+            next_suffix[start - level_end : clone.count - level_end] = above[suffix[parent] - above_start, letter]
+        above, above_start = children, level
+        suffix = next_suffix[: clone.count - level_end]
         level = level_end
-    return clone.functions(n, arity)
+    return clone.functions(layout)

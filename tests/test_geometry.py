@@ -14,11 +14,13 @@ from eqdomain import (
     Term,
     all_points,
     algebraic_closure,
+    enumerate_tables,
     eval_term,
     in_pair_closure,
     is_algebraic,
     parse_equation,
     solution_set,
+    term_functions,
     union_target_m3,
     union_target_m4,
 )
@@ -334,8 +336,8 @@ class TestClosureGrouping:
     @pytest.mark.parametrize("n", [16, 17])
     def test_matches_oracle_grouping_across_the_packing_bound(self, n):
         # at order 16 the values are stored two per byte and the last
-        # point, 255, is the high nibble of the last byte of values; at
-        # order 17 the values are bytes and 16 needs their fifth bit
+        # point, 255, is the high digit of its byte; at order 17 the
+        # values are bytes and 16 needs their fifth bit
         S = Semigroup([[(a + b) % n for b in range(n)] for a in range(n)])
         rng = random.Random(37)
         for extra in (0, 1, 5, 40):
@@ -382,3 +384,47 @@ class TestClosureGrouping:
         assert pairs == listed and pairs != listed[:-1]
         with pytest.raises(IndexError):
             pairs[len(pairs)]
+
+
+class TestYFirstClosure:
+    """The closure of a clone stored with Y's points first, at the edges of
+    that layout: Y empty, Y everything, and Y one point short of, equal to
+    and one point past whole words of Y's slots (8 * per_byte points)."""
+
+    @staticmethod
+    def check(S, Y, mask):
+        cert = algebraic_closure(S, Y)
+        assert cert.closure.mask == mask
+        # the pairs' values read back in encoded point order, as from a
+        # clone stored in that order
+        plain = {f.witness.word: f.values for f in term_functions(S, Y.k)}
+        for f, g in cert.agreeing_pairs:
+            assert f.values == plain[f.witness.word]
+            assert g.values == plain[g.witness.word]
+
+    @pytest.mark.parametrize("n, every", [(2, 1), (3, 3), (4, 23)])
+    def test_empty_and_full(self, n, every):
+        for S in list(enumerate_tables(n, "up_to_iso"))[::every]:
+            for k in (1, 2, 3):
+                for Y in (PointSet.empty(n, k), PointSet.full(n, k)):
+                    self.check(S, Y, naive_closure_mask(S, Y))
+
+    @pytest.mark.parametrize("n, k, max_len, every", [(3, 4, 8, 11), (4, 3, 9, 37)])
+    def test_around_a_word_of_y_against_the_naive_oracle(self, n, k, max_len, every):
+        rng = random.Random(41 + n)
+        word = 8 * {3: 5, 4: 4}[n]
+        for S in list(enumerate_tables(n, "up_to_iso"))[::every]:
+            # the oracle's words reach every term function
+            assert max(map(len, term_functions(S, k).words())) <= max_len
+            for size in (word - 1, word, word + 1):
+                Y = PointSet(n, k, sum(1 << i for i in rng.sample(range(n**k), size)))
+                self.check(S, Y, naive_closure_mask(S, Y, max_len))
+
+    def test_around_a_word_of_y_at_order_2(self):
+        # 64 points fill a word at order 2, so the arity is 7, where the
+        # naive oracle's words are too many; the oracle grouping is used
+        rng = random.Random(43)
+        for S in enumerate_tables(2, "up_to_iso"):
+            for size in (63, 64, 65):
+                Y = PointSet(2, 7, sum(1 << i for i in rng.sample(range(128), size)))
+                self.check(S, Y, grouped_closure(S, Y)[1])

@@ -35,13 +35,19 @@ from eqdomain.terms import (
     coordinate_grid,
     format_word,
 )
-from support import A2, LEFT_ZERO, MIN2, Z2, Z3, per_head_term_functions, raw_word_vectors
+from support import A2, LEFT_ZERO, MIN2, NULL2, Z2, Z3, per_head_term_functions, raw_word_vectors
 
 words = st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple)
 # a lemma-3 table of order 4, with 26,216 term functions at arity 4
 LEMMA3_TABLE = Semigroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 2, 2], [3, 3, 3, 3]])
 Z16 = Semigroup([[(a + b) % 16 for b in range(16)] for a in range(16)])
 Z17 = Semigroup([[(a + b) % 17 for b in range(17)] for a in range(17)])
+
+
+def digits_of(rows, n, per_byte):
+    """The slots of stored rows: digit t of byte j is slot j*per_byte + t."""
+    digits = (rows[..., None].astype(np.intp) // n ** np.arange(per_byte) % n).astype(np.uint8)
+    return digits.reshape(rows.shape[:-1] + (-1,))
 
 
 class TestParser:
@@ -361,7 +367,7 @@ class TestBlockEngine:
         for j in (63, 127, 193):
             parent += [j, j]
             letter += [word[j], 1 - word[j]]
-        funcs = TermFunctions(1, 2, np.zeros((len(letter), 8), np.uint8), np.array(parent), np.array(letter))
+        funcs = TermFunctions(_RowLayout(1, 2), np.zeros((len(letter), 8), np.uint8), np.array(parent), np.array(letter))
         words = list(funcs.words())
         assert list(funcs.texts()) == [format_word(w) for w in words]
         assert all(parse_term(t, 2).word == w for t, w in zip(funcs.texts(), words))
@@ -370,7 +376,7 @@ class TestBlockEngine:
     def test_blocks_of_a_few_heads_keep_the_order(self, monkeypatch, heads):
         # blocks of 3 * heads products, which end inside a breadth-first
         # level and at its end
-        width = 5**3 + 3  # A2 at arity 3: 125 values padded to 128 bytes
+        width = 48  # A2 at arity 3: 125 values, three per byte, in 6 words
         monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", heads * 3 * width)
         assert listing(term_functions(A2, 3)) == listing(per_head_term_functions(A2, 3))
 
@@ -417,19 +423,40 @@ class TestBlockEngine:
             funcs[len(funcs)]
 
     def test_rows_are_zero_padded_values(self):
-        # two values per byte: point 2j in the low nibble of byte j, point
-        # 2j+1 in its high nibble; 9 values fill 4.5 bytes of one word
+        # base-3 digits, five values per byte: point 5j+t is digit t of
+        # byte j, so 9 values fill the first 2 bytes of one word; the pad
+        # slots hold the value at (0, 0), and 0 is Z3's idempotent
         funcs = term_functions(Z3, 2)
+        assert funcs.layout.per_byte == 5
         assert funcs.rows.shape == (len(funcs), 8)
-        values = np.stack([funcs.rows & 0x0F, funcs.rows >> 4], axis=2).reshape(len(funcs), 16)
+        values = digits_of(funcs.rows, 3, 5)
         assert not values[:, 9:].any()
         assert [v[:9].tobytes() for v in values] == [f.values for f in funcs]
 
     def test_rows_at_order_17_are_one_value_per_byte(self):
+        # the pad slots hold the value at (0, 0), and 0 is Z17's idempotent
         funcs = term_functions(Z17, 2)
+        assert funcs.layout.per_byte == 1
         assert funcs.rows.shape == (len(funcs), 296)
         assert not funcs.rows[:, 289:].any()
         assert [r[:289].tobytes() for r in funcs.rows] == [f.values for f in funcs]
+
+    def test_pad_slots_hold_the_idempotent(self, semigroups_le3):
+        # every term function takes the value e at (e, ..., e), so the pad
+        # slots, which hold that point, read e in every stored row
+        for S in semigroups_le3 + [A2, NULL2]:
+            e = min(x for x in range(S.order) if S.mul(x, x) == x)
+            for arity in (1, 2, 3):
+                funcs = term_functions(S, arity)
+                layout = funcs.layout
+                assert (layout.slots[layout.where] == np.arange(layout.npoints)).all()
+                pad = np.ones(len(layout.slots), dtype=bool)
+                pad[layout.where] = False
+                assert (layout.slots[pad] == encode_point((e,) * arity, S.order)).all()
+                slots = digits_of(funcs.rows, S.order, layout.per_byte)
+                assert (slots[:, pad] == e).all()
+                values = [f.values for f in funcs]
+                assert [row[layout.where].tobytes() for row in slots] == values
 
     def test_a_fresh_clone_settles_each_block_once(self, monkeypatch):
         # the index is sized before the first block, so no call settles an
@@ -449,24 +476,69 @@ class TestBlockEngine:
 
 
 class TestRowLayout:
-    """Packing and unpacking at one and at two values per byte."""
+    """Packing and unpacking base-n digits, with and without first points."""
 
     @pytest.mark.parametrize("n, arity", [(1, 1), (3, 1), (3, 2), (5, 3), (15, 1), (15, 2), (17, 1), (17, 2)])
     def test_round_trip_on_odd_point_counts(self, n, arity):
         layout = _RowLayout(n, arity)
         npoints = n**arity
         assert npoints % 2
-        values = np.zeros((4, layout.values_width), dtype=np.uint8)
-        values[:, :npoints] = np.random.default_rng(npoints).integers(0, n, (4, npoints))
+        values = np.random.default_rng(npoints).integers(0, n, (4, npoints)).astype(np.uint8)
         rows = layout.pack(values)
-        assert rows.shape == (4, layout.width) and layout.width % 8 == 0
-        if n <= 16:
-            assert layout.width == -(-npoints // 16) * 8
-            assert (rows == values[:, 0::2] | values[:, 1::2] << 4).all()
-        else:
-            assert layout.width == -(-npoints // 8) * 8
+        d = layout.per_byte
+        assert rows.shape == (4, layout.width) and layout.width == -(-npoints // (8 * d)) * 8
+        # point p is digit p % d of byte p // d, and the pad holds point 0
+        padded = np.concatenate([values, np.repeat(values[:, :1], layout.width * d - npoints, axis=1)], axis=1)
+        weights = n ** np.arange(d)
+        assert (rows == (padded.reshape(4, layout.width, d) * weights).sum(axis=2)).all()
         assert (layout.unpack(rows) == values).all()
         assert (layout.unpack(rows[1]) == values[1]).all()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_round_trip_at_every_order(self, n):
+        rng = np.random.default_rng(100 + n)
+        for arity in (1, 2, 3):
+            npoints = n**arity
+            first = np.flatnonzero(rng.random(npoints) < 0.3)
+            pad = int(rng.integers(n))
+            layout = _RowLayout(n, arity, pad, first)
+            word = 8 * layout.per_byte
+            assert layout.lead == -(-len(first) // word) * 8
+            assert layout.width == layout.lead + -(-(npoints - len(first)) // word) * 8
+            # the first points lead in encoded order, then the rest
+            rest = np.setdiff1d(np.arange(npoints), first)
+            assert (layout.slots[: len(first)] == first).all()
+            assert (layout.slots[layout.lead * layout.per_byte :][: len(rest)] == rest).all()
+            values = rng.integers(0, n, (5, npoints)).astype(np.uint8)
+            rows = layout.pack(values)
+            assert rows.shape == (5, layout.width) and rows.flags.c_contiguous
+            slots = digits_of(rows, n, layout.per_byte)
+            assert (slots == values[:, layout.slots]).all()
+            assert (layout.unpack(rows) == values).all()
+
+    @pytest.mark.parametrize(
+        "n, per_byte", [(1, 8), (2, 8), (3, 5), (4, 4), (5, 3), (6, 3), (7, 2), (16, 2), (17, 1), (20, 1), (255, 1)]
+    )
+    def test_values_per_byte(self, n, per_byte):
+        assert _RowLayout(n, 1).per_byte == per_byte
+        assert n**per_byte <= 256 and (per_byte == 8 or n ** (per_byte + 1) > 256)
+
+    @pytest.mark.parametrize("n, arity, width", [(2, 4, 8), (2, 7, 16), (3, 4, 24), (4, 4, 64), (5, 4, 216), (16, 2, 128)])
+    def test_width(self, n, arity, width):
+        assert _RowLayout(n, arity).width == width
+
+    def test_differing_reads_only_the_rest(self):
+        n, arity = 5, 3
+        rng = np.random.default_rng(5)
+        first = np.arange(0, 125, 3)
+        layout = _RowLayout(n, arity, 0, first)
+        values = rng.integers(0, n, (40, 125)).astype(np.uint8)
+        values[:, 0] = 0  # the pad point holds the idempotent 0
+        a, b = np.arange(0, 20), np.arange(20, 40)
+        expected = (values[a] != values[b]).any(axis=0)
+        expected[first] = False
+        assert (layout.differing(layout.pack(values), a, b) == expected).all()
+        assert not layout.differing(layout.pack(values), a[:0], b[:0]).any()
 
 
 class TestProductKernel:
@@ -478,21 +550,25 @@ class TestProductKernel:
         rng = np.random.default_rng(n)
         table = rng.integers(0, n, (n, n))
         for arity in (1, 2, 3):
-            layout = _RowLayout(n, arity)
             npoints = n**arity
-            codes = _ProductCodes(table, arity)
+            # a random table may have no idempotent, so the pad element is
+            # any element, and some points are stored first
+            pad = int(rng.integers(n))
+            layout = _RowLayout(n, arity, pad, np.flatnonzero(rng.random(npoints) < 0.5))
+            codes = _ProductCodes(table, layout)
             grid = coordinate_grid(n, arity)
+            assert (codes.projections == layout.pack(grid)).all()
             # 5 heads, then 7 on the same codes, so its products buffer grows
             for count in (5, 7):
-                heads = np.zeros((count, layout.values_width), dtype=np.uint8)
-                heads[:, :npoints] = rng.integers(0, n, (count, npoints))
-                expected = np.zeros((count, arity, layout.values_width), dtype=np.uint8)
-                for i in range(arity):
-                    expected[:, i, :npoints] = table[heads[:, :npoints], grid[i]]
+                heads = rng.integers(0, n, (count, npoints))
+                expected = np.stack([table[heads, grid[i]] for i in range(arity)], axis=1)
                 cells = np.repeat(layout.pack(heads), arity, axis=0)
                 letters = np.tile(np.arange(arity), count)
                 got = _right_products(cells, letters, codes)
                 assert got.shape == (count * arity, layout.width)
                 assert (got == layout.pack(expected.reshape(count * arity, -1))).all()
-                # every bit outside the stored values is zero
-                assert not layout.unpack(got)[:, npoints:].any()
+                # the pad slots hold the products at the point (pad, ..., pad)
+                pad_slots = np.ones(len(layout.slots), dtype=bool)
+                pad_slots[layout.where] = False
+                at_pad = expected.reshape(count * arity, -1)[:, [encode_point((pad,) * arity, n)]]
+                assert (digits_of(got, n, layout.per_byte)[:, pad_slots] == at_pad).all()
