@@ -481,12 +481,9 @@ def cmd_term_functions(ns) -> int:
     S = _load_single_table(ns.file, ns.strict)
     _check_arity(ns.arity, ns.allow_large)
     funcs = term_functions(S, ns.arity, budget=ns.budget)
-    out = {
-        "order": S.order,
-        "arity": ns.arity,
-        "count": len(funcs),
-        "witnesses": list(funcs.texts()),
-    }
+    count, texts = len(funcs), funcs.texts()
+    del funcs  # the value matrix, which the texts do not read
+    out = {"order": S.order, "arity": ns.arity, "count": count, "witnesses": list(texts)}
     if ns.format == "json":
         print(_json_doc(out))
     else:

@@ -315,11 +315,34 @@ class ClosureCertificate:
     ``agreeing_pairs`` holds, for every class of term functions that agree
     on the input set, the pairs (representative, other member); the closure
     is exactly the intersection of the equality sets of these pairs, and it
-    always contains the input set.
+    always contains the input set.  The pairs whose member has no parent
+    or a representative as parent already give that intersection: any
+    other member u = q·x_j equals r·x_j, for q's representative r, wherever
+    q equals r, and r·x_j is a function of u's group found before u.
     """
 
     agreeing_pairs: Sequence[tuple[TermFunction, TermFunction]]
     closure: PointSet
+
+
+def _least_of_each(hashes: np.ndarray) -> np.ndarray:
+    """``rep[i]``: the least j with ``hashes[j] == hashes[i]``.
+
+    The sort need not be stable, as the least index of each run of equal
+    hashes is taken.  Its arrays, as large as ``hashes`` each, are freed
+    as soon as they are read, and all of them before the pairs are.
+    """
+    import numpy as np
+
+    by_hash = np.argsort(hashes)
+    ordered = hashes[by_hash]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    del ordered
+    run = np.cumsum(starts)
+    run -= 1  # in place, one array fewer at the peak
+    rep = np.empty_like(by_hash)
+    rep[by_hash] = np.minimum.reduceat(by_hash, starts.nonzero()[0])[run]
+    return rep
 
 
 def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -> ClosureCertificate:
@@ -335,39 +358,50 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
 
     Restrictions are never gathered.  The clone is built with Y's points
     stored first, so the restriction of a function to Y is the first
-    ``layout.lead`` bytes of its row, a view hashed as it is.  One stable
-    argsort of the hashes puts each group in a run whose first entry is
-    its representative.  A member whose leading bytes differ from its
-    representative's only shares a hash with it; the rows of such a hash
-    are regrouped by their bytes.  The points that leave the closure are
-    those where some member differs from its representative, read from
-    the rest of their rows by :meth:`_RowLayout.differing`.
+    ``layout.lead`` bytes of its row, a view hashed as it is.  One sort of
+    the hashes puts each group in a run, and the least function of the run
+    is its representative.
+
+    Only the generating pairs are read: (u, rep(u)) for each member u
+    whose parent is -1 or a representative.  They imply the others, by
+    induction in discovery order, which is the shortlex order of the
+    witness words.  A member u = q·x_j whose parent q is a member with
+    representative r lies in the group of w = r·x_j, as q and r agree on
+    Y.  The witness of w is at most word(r)·x_j, shortlex below word(q)·x_j
+    = word(u), so w was found before u.  Wherever q = r and w = rep(w) hold,
+    u = w = rep(u) holds too.  So the points where the generating pairs
+    agree are the closure.  The same induction, at the points of Y with
+    groups of one hash, shows that the groups are exact once no generating
+    pair's leading bytes differ.  The rows of a hash where some do are
+    regrouped by their bytes; that changes which members are generating,
+    so the check runs again until none differ.  The points that leave the
+    closure are read from the rest of the generating pairs' rows by
+    :meth:`_RowLayout.differing`.
     """
     import numpy as np
 
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
-    funcs = term_functions(S, Y.k, budget=budget, first=np.flatnonzero(Y._bool_array()))
+    funcs = term_functions(S, Y.k, budget=budget, first=Y._bool_array().nonzero()[0])
     head = funcs.rows[:, : funcs.layout.lead]
     step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
     hashes = np.concatenate([_row_hashes(head[s : s + step]) for s in range(0, len(head), step)])
-    by_hash = np.argsort(hashes, kind="stable")
-    ordered = hashes[by_hash]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    rep = np.empty_like(by_hash)
-    rep[by_hash] = by_hash[starts][np.cumsum(starts) - 1]
-    members = np.flatnonzero(rep != np.arange(len(rep)))
+    rep = _least_of_each(hashes)
     words = head.view(np.uint64)
-    split = [members[:0]]
-    for s in range(0, len(members), step):
-        part = members[s : s + step]
-        split.append(part[(words[part] != words[rep[part]]).any(axis=1)])
-    split = np.concatenate(split)
-    if len(split):
+    while True:
+        members = (rep != np.arange(len(rep))).nonzero()[0]
+        parent = funcs.parent[members]
+        generating = members[(parent < 0) | (rep[parent] == parent)]
+        split = [generating[:0]]
+        for s in range(0, len(generating), step):
+            part = generating[s : s + step]
+            split.append(part[(words[part] != words[rep[part]]).any(axis=1)])
+        split = np.concatenate(split)
+        if not len(split):
+            break
         # a hash shared by different restrictions: regroup exactly
         _regroup(rep, hashes, split, lambda rows: head[rows])
-        members = np.flatnonzero(rep != np.arange(len(rep)))
-    keep = ~funcs.layout.differing(funcs.rows, members, rep[members])
+    keep = ~funcs.layout.differing(funcs.rows, generating, rep[generating])
     closure = PointSet._from_bool(keep, Y.n, Y.k)
     return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)
 

@@ -510,9 +510,12 @@ class _CloneTable:
     hash shared by different rows only sends the later row on down the
     chain.  The index starts at 1,024 slots and doubles before it could
     pass half full, and a block of rows settles in a few vectorized rounds.
-    Row numbers, the index's and the parents', are int32 unless the budget
-    needs int64, and letters take the narrowest unsigned type that holds
-    the arity.
+    A doubling places the stored entries without probing: in the order of
+    their new homes, each goes to its home or to the slot after the entry
+    before it, and only the few that run past the last slot probe on from
+    the first.  Row numbers, the index's and the parents', are int32
+    unless the budget needs int64, and letters take the narrowest unsigned
+    type that holds the arity.
     """
 
     def __init__(self, width: int, budget: int, arity: int):
@@ -570,7 +573,7 @@ class _CloneTable:
             held = self.ids[at]
             stop = held == ids[todo]
             if block is not None:
-                same = np.flatnonzero(~stop & (self.keys[at] == keys[todo]))
+                same = (~stop & (self.keys[at] == keys[todo])).nonzero()[0]
                 if len(same):
                     theirs = self._rows_of(held[same], block)
                     stop[same] = (theirs == block.view(np.uint64)[todo[same]]).all(axis=1)
@@ -579,7 +582,13 @@ class _CloneTable:
         return slot
 
     def _reserve(self, extra: int):
-        """Double the index until ``extra`` more rows leave it at most half full."""
+        """Double the index until ``extra`` more rows leave it at most half full.
+
+        The used entries are sorted by their new home and each is placed
+        at its home or just past the entry before it, whichever is later;
+        only the entries that would run past the last slot are settled,
+        to wrap around to the start.
+        """
         import numpy as np
 
         size = len(self.ids)
@@ -588,9 +597,24 @@ class _CloneTable:
         if size > len(self.ids):
             used = self.ids != self.free
             keys, ids = self.keys[used], self.ids[used]
+            self.keys = self.ids = None  # freed before the new index is made
+            order = np.argsort(keys, kind="stable")  # by key is by home, its top bits
+            keys, ids = keys[order], ids[order]
+            # entry i goes to its home or just past entry i - 1, whichever
+            # is later, worked out in the sort's buffer
+            slot = order
+            np.right_shift(keys, np.uint64(65 - size.bit_length()), out=slot.view(np.uint64))
+            rank = np.arange(len(keys))
+            slot -= rank
+            np.maximum.accumulate(slot, out=slot)
+            slot += rank
+            fit = np.searchsorted(slot, size)
             self.keys = np.zeros(size, dtype=np.uint64)
             self.ids = np.full(size, self.free, dtype=self.id_type)
-            self._settle(keys, ids)
+            self.keys[slot[:fit]] = keys[:fit]
+            self.ids[slot[:fit]] = ids[:fit]
+            if fit < len(slot):
+                self._settle(keys[fit:], ids[fit:])
 
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
         """Append the rows not seen before, in order, first occurrence kept.
@@ -609,7 +633,7 @@ class _CloneTable:
         self._reserve(len(rows))
         ids = np.arange(start, start + len(rows))
         slot = self._settle(_row_hashes(rows), ids, rows)
-        new = np.flatnonzero(self.ids[slot] == ids)
+        new = (self.ids[slot] == ids).nonzero()[0]
         end = start + len(new)
         if end > self.budget:
             raise BudgetExceeded(self.budget + 1)
@@ -747,27 +771,31 @@ class TermFunctions(Sequence):
 
         A function's text is its parent's text with the last factor's
         exponent raised by one, or with a factor appended; a factor's
-        exponent stops at MAX_EXPONENT.  Each text is kept as its head (all
-        but the last factor) and that factor's exponent, so each function
-        costs constant time.
+        exponent stops at MAX_EXPONENT.  Only the texts and each last
+        factor's exponent are kept, so each function costs constant time.
+        The generator reads only ``parent`` and ``letter``: the value
+        matrix can be freed while it runs.
         """
-        texts: list[str] = []
-        heads: list[str] = []
-        runs: list[int] = []
-        letters = self.letter.tolist()
-        for p, x in zip(self.parent.tolist(), letters):
-            if p >= 0 and letters[p] == x and runs[p] < MAX_EXPONENT:
-                head, run = heads[p], runs[p] + 1
-            else:
-                head, run = (texts[p] + " " if p >= 0 else ""), 1
-            heads.append(head)
-            runs.append(run)
-            texts.append(f"{head}x{x + 1}^{run}" if run > 1 else f"{head}x{x + 1}")
-            yield texts[-1]
+        return _texts(self.parent, self.letter)
 
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
         values = self.layout.unpack(self.rows[i]).tobytes()
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
+
+
+def _texts(parent: np.ndarray, letter: np.ndarray):
+    texts: list[str] = []
+    runs = bytearray()
+    letters = letter.tolist()
+    for p, x in zip(parent.tolist(), letters):
+        if p >= 0 and letters[p] == x and runs[p] < MAX_EXPONENT:
+            text, run = texts[p], runs[p] + 1
+            head = text[: text.rfind(" ") + 1]  # all but the last factor
+        else:
+            head, run = (texts[p] + " " if p >= 0 else ""), 1
+        runs.append(run)
+        texts.append(f"{head}x{x + 1}^{run}" if run > 1 else f"{head}x{x + 1}")
+        yield texts[-1]
 
 
 def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, first=()) -> TermFunctions:

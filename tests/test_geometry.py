@@ -25,6 +25,7 @@ from eqdomain import (
     union_target_m4,
 )
 from eqdomain.geometry import in_union_target
+from eqdomain.terms import _RowLayout
 from support import (
     A2,
     LEFT_ZERO,
@@ -384,6 +385,72 @@ class TestClosureGrouping:
         assert pairs == listed and pairs != listed[:-1]
         with pytest.raises(IndexError):
             pairs[len(pairs)]
+
+
+@pytest.fixture(scope="module")
+def classes_le4():
+    """The iso-anti classes of orders 2 to 4, by order."""
+    return {n: list(enumerate_tables(n, "up_to_iso_and_anti")) for n in (2, 3, 4)}
+
+
+class TestGeneratingPairs:
+    """The closure is read from the generating pairs alone, (u, rep(u)) for
+    the members u whose parent is -1 or a representative; the oracle
+    groups every function and reads every pair."""
+
+    check = TestClosureGrouping.check
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_union_targets_of_every_class(self, classes_le4, n):
+        for S in classes_le4[n]:
+            self.check(S, union_target_m3(S))
+            self.check(S, union_target_m4(S))
+
+    def test_seeded_random_sets(self, classes_le4):
+        # small sets, where projections often agree on Y and so are
+        # members without a parent
+        rng = random.Random(47)
+        for _ in range(60):
+            S = rng.choice(classes_le4[rng.randint(2, 4)])
+            k = rng.randint(1, 3 if S.order < 4 else 2)
+            size = rng.randint(0, min(4, S.order**k))
+            Y = PointSet(S.order, k, sum(1 << i for i in rng.sample(range(S.order**k), size)))
+            self.check(S, Y)
+
+    @pytest.mark.parametrize("kept_bits", [3, 0], ids=["low2", "zero"])
+    def test_shared_lead_hashes(self, monkeypatch, classes_le4, kept_bits):
+        # Only the kept bits of each restriction's hash are left, so
+        # different restrictions share a hash and the generating pairs'
+        # leading words must be confirmed; a regroup changes which members
+        # are generating, so some closures regroup more than once.
+        row_hashes = eqdomain.geometry._row_hashes
+        keep = np.uint64(kept_bits)
+        monkeypatch.setattr(eqdomain.geometry, "_row_hashes", lambda rows: row_hashes(rows) & keep)
+        passes = []
+        regroup = eqdomain.geometry._regroup
+        monkeypatch.setattr(eqdomain.geometry, "_regroup", lambda *args: passes.append(regroup(*args)))
+        counts = []
+        for n in (2, 3, 4):
+            for S in classes_le4[n]:
+                for Y in (union_target_m3(S), union_target_m4(S)):
+                    passes.clear()
+                    self.check(S, Y)
+                    counts.append(len(passes))
+        assert max(counts) >= (2 if kept_bits else 1)
+
+    def test_a2_m4_reads_a_tenth_of_the_pairs(self, monkeypatch):
+        read = []
+        differing = _RowLayout.differing
+
+        def counting(layout, rows, a, b):
+            read.append(len(a))
+            return differing(layout, rows, a, b)
+
+        monkeypatch.setattr(_RowLayout, "differing", counting)
+        cert = algebraic_closure(A2, union_target_m4(A2))
+        assert read == [31_728]
+        assert len(cert.agreeing_pairs) == 337_280
+        assert len(cert.closure) > len(union_target_m4(A2))
 
 
 class TestYFirstClosure:

@@ -474,6 +474,53 @@ class TestBlockEngine:
         assert calls.count("add") > 1
         assert calls.count("_settle") == calls.count("add")
 
+    def test_a_doubling_wraps_what_runs_past_the_last_slot(self, monkeypatch):
+        # The top 4 bits of every hash are set, so every home lies in the
+        # last sixteenth of the index: a doubling places its entries past
+        # the last slot and hands those to _settle, which alone probes
+        # without a block, to wrap around.
+        row_hashes = eqdomain.terms._row_hashes
+        high = np.uint64(0xF << 60)
+        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) | high)
+        wrapped = []
+        settle = _CloneTable._settle
+
+        def spying(self, keys, ids, block=None):
+            if block is None:
+                wrapped.append(len(ids))
+            return settle(self, keys, ids, block)
+
+        monkeypatch.setattr(_CloneTable, "_settle", spying)
+        kept = []
+        functions = _CloneTable.functions
+
+        def keeping(self, layout):
+            kept.append(self)
+            kept.extend((self.keys, self.ids))
+            return functions(self, layout)
+
+        monkeypatch.setattr(_CloneTable, "functions", keeping)
+        assert listing(term_functions(A2, 3)) == listing(per_head_term_functions(A2, 3))
+        assert wrapped
+        clone, keys, ids = kept
+        size = len(ids)
+        assert size > 1 << 10
+        # each stored row, probed from its home, reaches its own slot
+        # without meeting a free slot
+        rows = np.arange(clone.count)
+        slot = (row_hashes(clone.rows[rows]) | high) >> np.uint64(65 - size.bit_length())
+        slot = slot.astype(np.intp)
+        home = slot.copy()
+        todo = rows
+        while len(todo):
+            held = ids[slot[todo]]
+            assert (held != clone.free).all()
+            todo = todo[held != todo]
+            slot[todo] = (slot[todo] + 1) % size
+        assert (keys[slot] == row_hashes(clone.rows) | high).all()
+        assert (slot < home).any()  # some rows wrapped around
+        assert (ids != clone.free).sum() == clone.count
+
 
 class TestRowLayout:
     """Packing and unpacking base-n digits, with and without first points."""
