@@ -38,7 +38,6 @@ EXIT_PIPE_CLOSED = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 
-BUDGET_ENV_VAR = "EQDOMAIN_BUDGET"
 DEFAULT_ARITY_LIMIT = 4
 
 _CLI_MODES = {"raw": "raw", "iso": "up_to_iso", "iso-anti": "up_to_iso_and_anti"}
@@ -82,19 +81,6 @@ def __getattr__(name):
         _bind_checking()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR}={raw!r} is not an integer") from None
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1")
-    return value
 
 
 def _check_order(flag: str, order: int, allow_large: bool):
@@ -504,7 +490,7 @@ class _HelpFormatter(argparse.HelpFormatter):
         if action.dest != "budget":
             return action.help
         _bind_checking()
-        return f"{action.help} (default ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET})"
+        return f"{action.help} (default {DEFAULT_BUDGET})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,7 +564,7 @@ def main(argv=None) -> int:
             _bind_checking()
             inconsistent = (WorkerLost, BudgetExceeded)
             if ns.budget is None:
-                ns.budget = _default_budget()
+                ns.budget = DEFAULT_BUDGET
         if getattr(ns, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
         return ns.func(ns)

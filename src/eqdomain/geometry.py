@@ -24,8 +24,10 @@ from .terms import (
     TermFunction,
     TermFunctions,
     _fold_word,
+    _least_of_each,
     _regroup,
     _row_hashes,
+    _with_hash,
     coordinate_grid,
     decode_point,
     encode_point,
@@ -325,26 +327,6 @@ class ClosureCertificate:
     closure: PointSet
 
 
-def _least_of_each(hashes: np.ndarray) -> np.ndarray:
-    """``rep[i]``: the least j with ``hashes[j] == hashes[i]``.
-
-    The sort need not be stable, as the least index of each run of equal
-    hashes is taken.  Its arrays, as large as ``hashes`` each, are freed
-    as soon as they are read, and all of them before the pairs are.
-    """
-    import numpy as np
-
-    by_hash = np.argsort(hashes)
-    ordered = hashes[by_hash]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    del ordered
-    run = np.cumsum(starts)
-    run -= 1  # in place, one array fewer at the peak
-    rep = np.empty_like(by_hash)
-    rep[by_hash] = np.minimum.reduceat(by_hash, starts.nonzero()[0])[run]
-    return rep
-
-
 def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -> ClosureCertificate:
     """Smallest algebraic superset of Y, with representative equations.
 
@@ -386,7 +368,7 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     head = funcs.rows[:, : funcs.layout.lead]
     step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
     hashes = np.concatenate([_row_hashes(head[s : s + step]) for s in range(0, len(head), step)])
-    rep = _least_of_each(hashes)
+    rep = _least_of_each(hashes)[0]
     words = head.view(np.uint64)
     while True:
         members = (rep != np.arange(len(rep))).nonzero()[0]
@@ -399,8 +381,8 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
         split = np.concatenate(split)
         if not len(split):
             break
-        # a hash shared by different restrictions: regroup exactly
-        _regroup(rep, hashes, split, lambda rows: head[rows])
+        # hashes shared by different restrictions: regroup their rows exactly
+        _regroup(rep, _with_hash(hashes, np.unique(hashes[split])), lambda rows: head[rows])
     keep = ~funcs.layout.differing(funcs.rows, generating, rep[generating])
     closure = PointSet._from_bool(keep, Y.n, Y.k)
     return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)

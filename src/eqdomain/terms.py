@@ -370,20 +370,49 @@ def _row_hashes(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _regroup(rep: np.ndarray, hashes: np.ndarray, split: np.ndarray, rows_of):
-    """Make ``rep`` exact for each hash that a row in ``split`` shares with
-    a different row: the rows of such a hash are regrouped by their bytes,
-    each pointing at the first row with the same bytes.
+def _least_of_each(hashes: np.ndarray):
+    """``rep[i]``: the least j with ``hashes[j] == hashes[i]``, and
+    ``by_hash``, the order that sorted ``hashes``.
 
-    ``rows_of(idx)`` gives the rows at the indices ``idx``.
+    The sort need not be stable, as the least index of each run of equal
+    hashes is taken.  Its other arrays, as large as ``hashes`` each, are
+    freed as soon as they are read.
     """
     import numpy as np
 
-    for h in np.unique(hashes[split]):
-        members = np.flatnonzero(hashes == h)
-        seen: dict[bytes, int] = {}
-        for m, row in zip(members.tolist(), rows_of(members)):
-            rep[m] = seen.setdefault(row.tobytes(), m)
+    by_hash = hashes.argsort()
+    ordered = hashes[by_hash]
+    starts = np.empty(len(hashes), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    del ordered
+    run = starts.cumsum()
+    run -= 1  # in place, one array fewer at the peak
+    rep = np.empty_like(by_hash)
+    rep[by_hash] = np.minimum.reduceat(by_hash, starts.nonzero()[0])[run]
+    return rep, by_hash
+
+
+def _with_hash(hashes: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """The ascending indices i with ``hashes[i]`` in ``shared``, which is
+    sorted, found by searching each hash in ``shared``."""
+    return (shared.take(shared.searchsorted(hashes), mode="clip") == hashes).nonzero()[0]
+
+
+def _regroup(rep: np.ndarray, members: np.ndarray, rows_of, base: int = 0):
+    """Group ``members``, ascending row numbers that take in every row of
+    their hashes, exactly by their bytes: each member m from ``base`` on
+    gets ``rep[m - base]``, the first member with the same bytes.  Members
+    below ``base`` are earlier rows, all different, so they only head
+    groups.
+
+    ``rows_of(members)`` gives the rows of the members.
+    """
+    seen: dict[bytes, int] = {}
+    for m, row in zip(members.tolist(), rows_of(members)):
+        head = seen.setdefault(row.tobytes(), m)
+        if m >= base:
+            rep[m - base] = head
 
 
 @functools.lru_cache(maxsize=32)
@@ -502,20 +531,11 @@ class _RowLayout:
 class _CloneTable:
     """Distinct stored rows in discovery order, with an exact hash index.
 
-    The index is open addressing with linear probing over two arrays: slot
-    s holds the row numbered ``ids[s]``, whose hash is ``keys[s]``, or
-    ``free`` when it is free.  A row starts at the slot named by the top
-    bits of its hash and moves on until it reaches a free slot, which it
-    claims, or a slot whose key and row bytes both equal its own, so a
-    hash shared by different rows only sends the later row on down the
-    chain.  The index starts at 1,024 slots and doubles before it could
-    pass half full, and a block of rows settles in a few vectorized rounds.
-    A doubling places the stored entries without probing: in the order of
-    their new homes, each goes to its home or to the slot after the entry
-    before it, and only the few that run past the last slot probe on from
-    the first.  Row numbers, the index's and the parents', are int32
-    unless the budget needs int64, and letters take the narrowest unsigned
-    type that holds the arity.
+    The index is two arrays: ``hashes`` holds the stored rows' hashes in
+    ascending order, and ``ids`` the number of each hash's row.  Row
+    numbers, the index's and the parents', are int32 unless the budget
+    needs int64, and letters take the narrowest unsigned type that holds
+    the arity.
     """
 
     def __init__(self, width: int, budget: int, arity: int):
@@ -526,13 +546,10 @@ class _CloneTable:
         self.count = 0
         self.parents: list[np.ndarray] = []
         self.letters: list[np.ndarray] = []
-        # a block's provisional numbers run at most a block past the budget
-        small = budget + BLOCK_BYTES < np.iinfo(np.int32).max
-        self.id_type = np.dtype(np.int32 if small else np.int64)
+        self.id_type = np.dtype(np.int32 if budget < np.iinfo(np.int32).max else np.int64)
         self.letter_type = np.min_scalar_type(arity - 1)
-        self.free = np.iinfo(self.id_type).max
-        self.keys = np.zeros(1 << 10, dtype=np.uint64)
-        self.ids = np.full(1 << 10, self.free, dtype=self.id_type)
+        self.hashes = np.zeros(0, dtype=np.uint64)
+        self.ids = np.zeros(0, dtype=self.id_type)
 
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
         """The uint64 words of the rows numbered ``ids``: the stored rows
@@ -545,99 +562,68 @@ class _CloneTable:
         words[~inner] = self.rows.view(np.uint64)[ids[~inner]]
         return words
 
-    def _settle(self, keys: np.ndarray, ids: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
-        """The slot where each of the rows numbered ``ids`` stops.
-
-        Of the rows that reach one free slot in a round, the first claims
-        it.  Equal rows share a key, so they probe in lockstep: the first
-        of them claims a slot and the rest stop there.  With a ``block``,
-        the rows are its rows under the numbering of :meth:`_rows_of`, and
-        a row also stops at a slot whose row equals it.  Without one, the
-        rows are stored rows, all different, so each stops only at the slot
-        it claims.
-        """
-        import numpy as np
-
-        free = self.free
-        mask = len(self.ids) - 1
-        slot = (keys >> np.uint64(64 - mask.bit_length())).astype(np.intp)
-        todo = np.arange(len(ids))
-        while len(todo):
-            at = slot[todo]
-            claim = self.ids[at] == free
-            free_at = at[claim]
-            np.minimum.at(self.ids, free_at, todo[claim])
-            won = self.ids[free_at]
-            self.keys[free_at] = keys[won]
-            self.ids[free_at] = ids[won]
-            held = self.ids[at]
-            stop = held == ids[todo]
-            if block is not None:
-                same = (~stop & (self.keys[at] == keys[todo])).nonzero()[0]
-                if len(same):
-                    theirs = self._rows_of(held[same], block)
-                    stop[same] = (theirs == block.view(np.uint64)[todo[same]]).all(axis=1)
-            todo = todo[~stop]
-            slot[todo] = (slot[todo] + 1) & mask
-        return slot
-
-    def _reserve(self, extra: int):
-        """Double the index until ``extra`` more rows leave it at most half full.
-
-        The used entries are sorted by their new home and each is placed
-        at its home or just past the entry before it, whichever is later;
-        only the entries that would run past the last slot are settled,
-        to wrap around to the start.
-        """
-        import numpy as np
-
-        size = len(self.ids)
-        while 2 * (self.count + extra) > size:
-            size *= 2
-        if size > len(self.ids):
-            used = self.ids != self.free
-            keys, ids = self.keys[used], self.ids[used]
-            self.keys = self.ids = None  # freed before the new index is made
-            order = np.argsort(keys, kind="stable")  # by key is by home, its top bits
-            keys, ids = keys[order], ids[order]
-            # entry i goes to its home or just past entry i - 1, whichever
-            # is later, worked out in the sort's buffer
-            slot = order
-            np.right_shift(keys, np.uint64(65 - size.bit_length()), out=slot.view(np.uint64))
-            rank = np.arange(len(keys))
-            slot -= rank
-            np.maximum.accumulate(slot, out=slot)
-            slot += rank
-            fit = np.searchsorted(slot, size)
-            self.keys = np.zeros(size, dtype=np.uint64)
-            self.ids = np.full(size, self.free, dtype=self.id_type)
-            self.keys[slot[:fit]] = keys[:fit]
-            self.ids[slot[:fit]] = ids[:fit]
-            if fit < len(slot):
-                self._settle(keys[fit:], ids[fit:])
-
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
         """Append the rows not seen before, in order, first occurrence kept.
 
-        The block is probed where it lies, row i under the provisional
-        number ``count + i``.  The rows that claim a slot are then numbered
-        in block order and copied once, to the end of the stored rows.  The
-        matrix grows in place by the rows kept, so a large matrix is
-        remapped rather than copied.  No view of it outlives a step of the
-        search; the reference check is off because a profiler's bound-method
-        call adds a reference.
+        The block is grouped where it lies, row i under the provisional
+        number ``count + i``.  One sort of the block's hashes points each
+        row at the least row of the block with its hash
+        (:func:`_least_of_each`), and one search of the sorted hashes in
+        the index points it at a stored row with its hash instead, where
+        there is one.  Each pointer is confirmed by comparing the two
+        rows, and the rows of a hash that different rows share are
+        regrouped by their bytes (:func:`_regroup`), so two different
+        functions are never merged.  The rows that point at themselves are
+        new: they are numbered in block order, their hashes merged into the
+        index where the search put them, and they are copied once, to the
+        end of the stored rows.  The matrix grows in place by the rows
+        kept, so a large matrix is remapped rather than copied.  No view of
+        it outlives a step of the search; the reference check is off
+        because a profiler's bound-method call adds a reference.
         """
         import numpy as np
 
         start = self.count
-        self._reserve(len(rows))
-        ids = np.arange(start, start + len(rows))
-        slot = self._settle(_row_hashes(rows), ids, rows)
-        new = (self.ids[slot] == ids).nonzero()[0]
+        hashes = _row_hashes(rows)
+        rep, by_hash = _least_of_each(hashes)
+        rep += start
+        ordered = hashes[by_hash]
+        at = self.hashes.searchsorted(ordered)
+        if len(self.hashes):
+            known = (self.hashes.take(at, mode="clip") == ordered).nonzero()[0]
+            rep[by_hash[known]] = self.ids[at[known]]
+        number = np.arange(start, start + len(rows))
+        dup = (rep != number).nonzero()[0]
+        if len(dup):
+            differ = dup[(self._rows_of(rep[dup], rows) != rows.view(np.uint64)[dup]).any(axis=1)]
+            if len(differ):
+                # hashes that different rows share: regroup their rows exactly
+                shared = np.unique(hashes[differ])
+                lo, hi = self.hashes.searchsorted(shared), self.hashes.searchsorted(shared, "right")
+                stored = np.sort(np.concatenate([self.ids[a:b] for a, b in zip(lo.tolist(), hi.tolist())]))
+                members = np.concatenate((stored, start + _with_hash(hashes, shared)))
+                _regroup(rep, members, lambda m: self._rows_of(m, rows), start)
+        fresh = rep == number
+        new = fresh.nonzero()[0]
         end = start + len(new)
         if end > self.budget:
             raise BudgetExceeded(self.budget + 1)
-        self.ids[slot[new]] = np.arange(start, end)
+        # the new rows' hashes, in hash order, go where the search put them,
+        # each past the new ones before it; a new row is numbered by its
+        # place among the new rows of the block
+        merge = fresh[by_hash]
+        place = at[merge]
+        place += np.arange(len(place))
+        old = np.ones(len(self.hashes) + len(place), dtype=bool)
+        old[place] = False
+        merge = by_hash[merge]
+        numbers = fresh.cumsum()
+        numbers += start - 1
+        index = np.empty(len(old), dtype=np.uint64), np.empty(len(old), dtype=self.id_type)
+        for merged, before, values in zip(index, (self.hashes, self.ids), (hashes[merge], numbers[merge])):
+            merged[place] = values
+            merged[old] = before
+        self.hashes, self.ids = index
         if len(self.rows) < end:
             self.rows.resize((end, self.rows.shape[1]), refcheck=False)
         # the indices are in range; the default mode="raise" would first
@@ -655,7 +641,7 @@ class _CloneTable:
         """
         import numpy as np
 
-        self.keys = self.ids = None
+        self.hashes = self.ids = None
         parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
         return TermFunctions(layout, self.rows[: self.count], parents, letters)
 
@@ -850,8 +836,9 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, fi
     ``first`` (encoded points) are stored ahead of the rest, in whole
     8-byte words; the functions and their values are the same whatever it
     is.  Each function costs its n**arity values, stored as base-n digits
-    (three per byte at order 5) and padded to 8-byte words, plus a few
-    dozen bytes of index, parent, letter and search state.  So ``budget``
+    (three per byte at order 5) and padded to 8-byte words, plus 12 bytes
+    of index (a hash and a row number, twice that while a block's new rows
+    are merged in), and its parent, letter and search state.  So ``budget``
     (a function count) also bounds the memory: at order 5 and arity 4 a
     stored row is 216 bytes.
     """

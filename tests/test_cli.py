@@ -142,22 +142,10 @@ class TestCheck:
         assert "equational domain: no" in out
         assert "[ok ]" in out
 
-    def test_budget_exhaustion_is_exit_3(self, capsys, table_file, monkeypatch):
-        monkeypatch.setenv("EQDOMAIN_BUDGET", "1")
-        code, out, _ = run(capsys, "check", table_file(Z2))
+    def test_budget_exhaustion_is_exit_3(self, capsys, table_file):
+        code, out, _ = run(capsys, "check", table_file(Z2), "--budget", "1")
         assert code == 3
         assert json.loads(out)["status"] == "budget_exceeded"
-
-    def test_bad_budget_env(self, capsys, table_file, monkeypatch):
-        path = table_file(Z2)
-        _, stream, _ = run(capsys, "enumerate", "--order", "2")
-        monkeypatch.setenv("EQDOMAIN_BUDGET", "lots")
-        for argv in budgeted_commands(path):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (2, ""), argv
-            assert "EQDOMAIN_BUDGET='lots' is not an integer" in err
-        # enumerate computes no clone, so it never reads the budget
-        assert run(capsys, "enumerate", "--order", "2") == (0, stream, "")
 
     def test_budget_zero_is_exit_2_on_every_command(self, capsys, table_file):
         path = table_file(Z2)

@@ -458,68 +458,31 @@ class TestBlockEngine:
                 values = [f.values for f in funcs]
                 assert [row[layout.where].tobytes() for row in slots] == values
 
-    def test_a_fresh_clone_settles_each_block_once(self, monkeypatch):
-        # the index is sized before the first block, so no call settles an
-        # empty index
-        calls = []
-        for name in ("add", "_settle"):
-            method = getattr(_CloneTable, name)
-
-            def counting(self, *args, method=method, name=name):
-                calls.append(name)
-                return method(self, *args)
-
-            monkeypatch.setattr(_CloneTable, name, counting)
-        assert len(term_functions(Z2, 2)) == 4
-        assert calls.count("add") > 1
-        assert calls.count("_settle") == calls.count("add")
-
-    def test_a_doubling_wraps_what_runs_past_the_last_slot(self, monkeypatch):
-        # The top 4 bits of every hash are set, so every home lies in the
-        # last sixteenth of the index: a doubling places its entries past
-        # the last slot and hands those to _settle, which alone probes
-        # without a block, to wrap around.
+    @pytest.mark.parametrize(
+        "spread", [lambda h: h | np.uint64(0xF << 60), lambda h: h & np.uint64(0xF)], ids=["high-bits", "low-bits"]
+    )
+    def test_the_index_is_sorted_and_exact(self, monkeypatch, spread):
+        # Blocks of 21 products merge into the index about a hundred times.
+        # With the top 4 bits of every hash set, the hashes crowd the end
+        # of the index; with only the low 4 bits kept, 1,614 functions
+        # share 16 hashes, so most merges follow a regroup.
         row_hashes = eqdomain.terms._row_hashes
-        high = np.uint64(0xF << 60)
-        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) | high)
-        wrapped = []
-        settle = _CloneTable._settle
-
-        def spying(self, keys, ids, block=None):
-            if block is None:
-                wrapped.append(len(ids))
-            return settle(self, keys, ids, block)
-
-        monkeypatch.setattr(_CloneTable, "_settle", spying)
+        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: spread(row_hashes(rows)))
+        monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", 1 << 10)
         kept = []
         functions = _CloneTable.functions
 
         def keeping(self, layout):
-            kept.append(self)
-            kept.extend((self.keys, self.ids))
+            kept.append((self.hashes, self.ids))
             return functions(self, layout)
 
         monkeypatch.setattr(_CloneTable, "functions", keeping)
-        assert listing(term_functions(A2, 3)) == listing(per_head_term_functions(A2, 3))
-        assert wrapped
-        clone, keys, ids = kept
-        size = len(ids)
-        assert size > 1 << 10
-        # each stored row, probed from its home, reaches its own slot
-        # without meeting a free slot
-        rows = np.arange(clone.count)
-        slot = (row_hashes(clone.rows[rows]) | high) >> np.uint64(65 - size.bit_length())
-        slot = slot.astype(np.intp)
-        home = slot.copy()
-        todo = rows
-        while len(todo):
-            held = ids[slot[todo]]
-            assert (held != clone.free).all()
-            todo = todo[held != todo]
-            slot[todo] = (slot[todo] + 1) % size
-        assert (keys[slot] == row_hashes(clone.rows) | high).all()
-        assert (slot < home).any()  # some rows wrapped around
-        assert (ids != clone.free).sum() == clone.count
+        funcs = term_functions(A2, 3)
+        assert listing(funcs) == listing(per_head_term_functions(A2, 3))
+        [(hashes, ids)] = kept
+        assert (hashes[:-1] <= hashes[1:]).all()
+        assert (np.sort(ids) == np.arange(len(funcs))).all()
+        assert (spread(row_hashes(funcs.rows))[ids] == hashes).all()
 
 
 class TestRowLayout:
