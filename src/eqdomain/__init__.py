@@ -6,91 +6,15 @@ solution sets of equation systems), and assembles machine-checkable
 reports showing that over every nontrivial finite semigroup the union of
 two diagonal solution sets is not algebraic.
 
-The names below are loaded from their modules on first access, so that
-importing the package (as every CLI command does) compiles none of them.
+The package exports the names in the ``__all__`` of its modules.  Each is
+loaded from its module on first access, so that importing the package (as
+every CLI command does) compiles none of them.
 """
 
 import sys
 
-_EXPORTS = {
-    "semigroups": (
-        "AssociativityViolation",
-        "Case",
-        "Classification",
-        "ElementProfile",
-        "OutOfRangeEntry",
-        "Semigroup",
-        "TableError",
-        "classify",
-        "element_profile",
-        "is_idempotent",
-        "is_nowhere_commutative",
-        "is_rectangular_band",
-        "monogenic_equal",
-        "monogenic_table",
-        "satisfies_x2_x3",
-    ),
-    "terms": (
-        "DEFAULT_BUDGET",
-        "MAX_EXPONENT",
-        "BudgetExceeded",
-        "EmptyTermError",
-        "Equation",
-        "ExponentVector",
-        "System",
-        "Term",
-        "TermFunction",
-        "TermFunctions",
-        "TermSyntaxError",
-        "VariableOutOfRange",
-        "all_points",
-        "coordinate_grid",
-        "decode_point",
-        "encode_point",
-        "eval_term",
-        "exponent_vector",
-        "format_word",
-        "parse_equation",
-        "parse_equations",
-        "parse_term",
-        "power_eval",
-        "term_functions",
-    ),
-    "geometry": (
-        "ClosureCertificate",
-        "PointSet",
-        "algebraic_closure",
-        "in_pair_closure",
-        "is_algebraic",
-        "solution_set",
-        "union_target_m3",
-        "union_target_m4",
-    ),
-    "witnesses": (
-        "WitnessNotFound",
-        "WitnessReport",
-        "check_semigroup",
-        "verify_eq1_argument",
-        "witness_lemma1_case1",
-        "witness_lemma1_case2",
-        "witness_lemma2",
-        "witness_lemma3",
-    ),
-    "enumeration": (
-        "MODES",
-        "CanonicalForm",
-        "CorpusError",
-        "CorpusWarning",
-        "canonicalize",
-        "enumerate_tables",
-        "format_table",
-        "parse_corpus",
-        "read_corpus",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_MODULE_OF, *_EXPORTS]
+# in their import order: a name is looked up in each until one declares it
+_MODULES = ("semigroups", "enumeration", "terms", "geometry", "witnesses")
 __version__ = "0.1.0"
 
 
@@ -101,14 +25,18 @@ def _load(module: str):
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _MODULES or name == "cli":  # ``from eqdomain import cli`` asks before importing
         return _load(name)
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_load(_MODULE_OF[name]), name)
+    if name == "__all__":  # every module's, which loads them all
+        value = [*(n for module in _MODULES for n in _load(module).__all__), *_MODULES]
+    else:
+        module = next((m for m in map(_load, _MODULES) if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})

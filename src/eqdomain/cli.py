@@ -52,32 +52,30 @@ SHARDS_AHEAD_PER_JOB = 4
 # witnesses, and only they resolve the budget, so enumerate starts without
 # compiling those modules.  The names they use from them:
 _CHECKING_COMMANDS = ("check", "verify-theorem", "closure", "term-functions")
-_CHECKING_NAMES = {
-    "terms": ("DEFAULT_BUDGET", "BudgetExceeded", "parse_equations", "term_functions"),
-    "geometry": ("PointSet", "algebraic_closure", "solution_set", "union_target_m3", "union_target_m4"),
-    "witnesses": ("WitnessNotFound", "check_semigroup"),
-}
+_CHECKING_NAMES = (
+    "DEFAULT_BUDGET", "BudgetExceeded", "parse_equations", "term_functions", "PointSet",
+    "algebraic_closure", "solution_set", "union_target_m3", "union_target_m4",
+    "WitnessNotFound", "check_semigroup",
+)
 
 
 def _bind_checking():
-    """Bind the names of ``_CHECKING_NAMES`` in this module, loading their modules.
+    """Bind the names of ``_CHECKING_NAMES`` in this module from the package,
+    which loads the modules that declare them.
 
     A name already bound is kept, so a name rebound from outside (as
     perfbench/tracer.py rebinds ``check_semigroup``) stays rebound.  main
     calls this before any worker forks, so the workers inherit the modules
     instead of compiling them again.
     """
-    bound = globals()
-    for module, names in _CHECKING_NAMES.items():
-        module = f"{__package__}.{module}"
-        __import__(module)  # unlike importlib.import_module, listed by -X importtime
-        for name in names:
-            bound.setdefault(name, getattr(sys.modules[module], name))
+    bound, package = globals(), sys.modules[__package__]
+    for name in _CHECKING_NAMES:
+        bound.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
     # ``cli.check_semigroup`` and the like, read from outside before bound
-    if any(name in names for names in _CHECKING_NAMES.values()):
+    if name in _CHECKING_NAMES:
         _bind_checking()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ closure of the two inside ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import in_pair_closure, in_union_target
 from .semigroups import Case, Classification, ElementProfile, Semigroup, classify, monogenic_equal
@@ -40,7 +40,12 @@ class WitnessNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Machine-checkable record of one semigroup's verification."""
+    """Machine-checkable record of one semigroup's verification.
+
+    A builder's ``separating_point`` is the outside probe its construction
+    claims lies in the closure of the inside probes; the report
+    :func:`check_semigroup` returns has that point certified.
+    """
 
     semigroup: Semigroup
     classification: Classification
@@ -98,9 +103,10 @@ def _pair_certificate(
 
     (x, x, y) and (x, y, x) lie inside the union target and (x, y, y)
     outside it.  Why (x, y, y) lies in the closure of the other two is the
-    calling lemma's own argument; this only records the probes, appending
-    the check that {x, y}, written ``pair_name``, is closed under product
-    after the lemma's ``identities``.
+    calling lemma's own argument; this only records the probes, claiming
+    (x, y, y) as the separating point, and appends the check that {x, y},
+    written ``pair_name``, is closed under product after the lemma's
+    ``identities``.
     """
     pair = (x, y)
     closed = all(S.mul(u, v) in pair for u in pair for v in pair)
@@ -113,7 +119,7 @@ def _pair_certificate(
         verified_identities=(*identities, (f"{{{pair_name}}} closed under product", closed)),
         inside_points=((x, x, y), (x, y, x)),
         outside_points=((x, y, y),),
-        separating_point=None,
+        separating_point=(x, y, y),
         is_equational_domain=False,
     )
 
@@ -226,7 +232,7 @@ def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessRe
         verified_identities=idents,
         inside_points=((a2, a, a, a), (a, a, a2, a)),
         outside_points=((a3, a2, a3, a2),),
-        separating_point=None,
+        separating_point=(a3, a2, a3, a2),
         is_equational_domain=False,
     )
 
@@ -296,17 +302,17 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
             separating_point=None,
             is_equational_domain=True,
         )
-    partial = _BUILDERS[cls.case](S, cls)
-    failed = [name for name, holds in partial.verified_identities if not holds]
+    report = _BUILDERS[cls.case](S, cls)
+    failed = [name for name, holds in report.verified_identities if not holds]
     if failed:
         raise WitnessNotFound(f"asserted identities failed: {', '.join(failed)}")
-    for p in partial.inside_points:
-        if not in_union_target(p, partial.target):
-            raise WitnessNotFound(f"probe point {p} should lie inside {partial.target}")
-    for p in partial.outside_points:
-        if in_union_target(p, partial.target):
-            raise WitnessNotFound(f"probe point {p} should lie outside {partial.target}")
-    probe = partial.outside_points[0]
-    if not in_pair_closure(S, *partial.inside_points, probe, budget=budget):
+    for p in report.inside_points:
+        if not in_union_target(p, report.target):
+            raise WitnessNotFound(f"probe point {p} should lie inside {report.target}")
+    for p in report.outside_points:
+        if in_union_target(p, report.target):
+            raise WitnessNotFound(f"probe point {p} should lie outside {report.target}")
+    probe = report.separating_point
+    if not in_pair_closure(S, *report.inside_points, probe, budget=budget):
         raise WitnessNotFound(f"probe {probe} is not in the closure of the inside probes")
-    return replace(partial, separating_point=probe)
+    return report

@@ -194,6 +194,36 @@ def uniform_pair(S):
     return None
 
 
+def search_free_pair(S):
+    """The case and the pair (x, y) of the m3 pair shape, chosen without
+    ``in_pair_closure``, for a nontrivial finite semigroup; None otherwise.
+
+    - "A": x is the least idempotent e with eSe != {e}, y the least
+      element of eSe other than e.
+    - "B-rect": every eSe is trivial and the minimal ideal K has two or
+      more elements, so K is a rectangular band; x and y are its two least.
+    - "B-nil": every eSe is trivial and K = {0}, so S is nilpotent; x = 0
+      and y is the least nonzero element with y*y = 0.
+
+    The product of all elements lies in K, as K is an ideal, and K is the
+    ideal that product generates.
+    """
+    n, mul = S.order, S.mul
+    for e in range(n):
+        if mul(e, e) == e and (local := {mul(mul(e, s), e) for s in range(n)} - {e}):
+            return "A", e, min(local)
+    w = 0
+    for s in range(1, n):
+        w = mul(w, s)
+    left = {w} | {mul(s, w) for s in range(n)}
+    K = sorted(left | {mul(u, s) for u in left for s in range(n)})
+    if len(K) >= 2:
+        return "B-rect", K[0], K[1]
+    zero = K[0]
+    y = next((y for y in range(n) if y != zero and mul(y, y) == zero), None)
+    return None if y is None else ("B-nil", zero, y)
+
+
 def power_by_table(S, a, e):
     v = a
     for _ in range(e - 1):

@@ -20,6 +20,7 @@ from eqdomain import (
     classify,
     element_profile,
     enumerate_tables,
+    in_pair_closure,
     is_algebraic,
     is_nowhere_commutative,
     is_rectangular_band,
@@ -34,12 +35,16 @@ from eqdomain import (
 )
 from eqdomain.semigroups import Case
 from support import (
+    NULL2,
+    RECT_BAND_2X2,
+    Z2,
     brute_force_assoc_tables,
     in_m3,
     in_m4,
     naive_closure_mask,
     naive_is_algebraic,
     random_point_set,
+    search_free_pair,
     uniform_pair,
 )
 
@@ -250,18 +255,42 @@ def test_criterion_8_regression_counts_and_determinism(verify3):
     )
 
 
+# the iso-anti classes of each order by the case of search_free_pair
+FREE_PAIR_CASES = {
+    2: {"A": 2, "B-rect": 1, "B-nil": 1},
+    3: {"A": 14, "B-rect": 2, "B-nil": 2},
+    4: {"A": 109, "B-rect": 7, "B-nil": 10},
+    5: {"A": 1_038, "B-rect": 29, "B-nil": 93},
+    6: {"A": 12_876, "B-rect": 284, "B-nil": 2_813},
+}
+
+
+def free_pair_cases(tables):
+    """The count of each case of search_free_pair over ``tables``, and the
+    tables whose chosen pair ``in_pair_closure`` rejects."""
+    cases, rejected = {}, []
+    for S in tables:
+        case, x, y = search_free_pair(S)
+        cases[case] = cases.get(case, 0) + 1
+        if not in_pair_closure(S, (x, x, y), (x, y, x), (x, y, y)):
+            rejected.append(S.table)
+    return cases, rejected
+
+
 @pytest.mark.parametrize("order", sorted(ANTI_CLASSES))
 def test_uniform_pair_certificate_on_every_class(order):
     """Beyond the paper: every class up to order 5 has an idempotent x and
     a y != x with (x, y, y) in the closure of (x, x, y) and (x, y, x), the
     unbounded tables of lemma 3 included.  Finding such a pair is invariant
     under isomorphism and anti-isomorphism, so the classes cover every table.
+    The pair search_free_pair chooses is certified too.
     """
     tables = list(enumerate_tables(order, "up_to_iso_and_anti"))
     missing = [S.table for S in tables if uniform_pair(S) is None]
     print(f"order {order}: {len(tables)} classes, {len(missing)} without a certified pair")
     assert len(tables) == ANTI_CLASSES[order]
     assert not missing
+    assert free_pair_cases(tables) == (FREE_PAIR_CASES[order], [])
 
 
 def test_uniform_pair_certificate_at_order_6(order6_stream):
@@ -274,3 +303,13 @@ def test_uniform_pair_certificate_at_order_6(order6_stream):
     print(f"order 6: {len(tables)} classes, {len(missing)} without a certified pair")
     assert len(tables) == 15_973
     assert not missing
+    assert free_pair_cases(map(Semigroup._trusted, tables)) == (FREE_PAIR_CASES[6], [])
+
+
+@pytest.mark.parametrize(
+    "S, pair",
+    [(Z2, ("A", 0, 1)), (RECT_BAND_2X2, ("B-rect", 0, 1)), (NULL2, ("B-nil", 1, 0))],
+    ids=["Z2", "rect-band-2x2", "null2"],
+)
+def test_search_free_pair_cases(S, pair):
+    assert search_free_pair(S) == pair

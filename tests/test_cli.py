@@ -777,6 +777,37 @@ except AttributeError:
 print(json.dumps({"failed": failed, "version": eqdomain.__version__}))
 """
 
+# Resolves from the package, in a fresh interpreter, every name that a
+# module declares in its __all__, and prints the names that resolve to
+# another object, the names two modules declare, and the names the
+# package's __all__ lists beyond those and the module names, or misses
+RESOLVE_DECLARED = """
+import collections, importlib, json, sys
+import eqdomain
+modules = json.loads(sys.argv[1])
+declared = {m: importlib.import_module("eqdomain." + m) for m in modules}
+other = [
+    name
+    for module in declared.values()
+    for name in module.__all__
+    if getattr(eqdomain, name) is not getattr(module, name)
+]
+counts = collections.Counter(name for module in declared.values() for name in module.__all__)
+print(json.dumps({
+    "other": other,
+    "twice": sorted(name for name, count in counts.items() if count > 1),
+    "listed": sorted(set(eqdomain.__all__) ^ {*counts, *modules}),
+}))
+"""
+
+# Imports the CLI as a name of the package, which no module declares, and
+# prints the package's modules and numpy, if loaded
+FROM_PACKAGE_IMPORT_CLI = """
+import json, sys
+from eqdomain import cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("eqdomain.") or m == "numpy")))
+"""
+
 
 # Makes enumerate raise an error that main maps to no exit code, in an
 # interpreter where no checking command has bound BudgetExceeded, and
@@ -837,6 +868,19 @@ class TestLazyBinding:
     def test_package_exports_resolve_on_first_use(self):
         result = run_python(RESOLVE_EXPORTS, json.dumps(PACKAGE_EXPORTS))
         assert result == {"failed": [], "version": "0.1.0"}
+
+
+class TestExportResolver:
+    def test_each_declared_name_resolves_to_its_module_s_object(self):
+        result = run_python(RESOLVE_DECLARED, json.dumps(list(PACKAGE_EXPORTS)))
+        assert result == {"other": [], "twice": [], "listed": []}
+
+    def test_importing_the_cli_from_the_package_loads_only_what_enumerate_runs(self):
+        assert run_python(FROM_PACKAGE_IMPORT_CLI) == [
+            "eqdomain.cli",
+            "eqdomain.enumeration",
+            "eqdomain.semigroups",
+        ]
 
 
 @pytest.fixture(scope="module")

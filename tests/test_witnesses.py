@@ -183,6 +183,15 @@ class TestPairCertificate:
             r = witnesses._BUILDERS[cls.case](S, cls)
             assert in_pair_closure(S, *r.inside_points, r.outside_points[0]), S.table
 
+    def test_builders_claim_their_outside_probe(self, semigroups_le3, semigroups_order4):
+        for S in semigroups_le3 + semigroups_order4:
+            cls = classify(S)
+            if cls.case is Case.TRIVIAL:
+                continue
+            r = witnesses._BUILDERS[cls.case](S, cls)
+            assert r.separating_point == r.outside_points[0], S.table
+            assert check_semigroup(S) == r
+
     def test_rejected_probe_is_an_inconsistency(self, monkeypatch):
         monkeypatch.setattr(witnesses, "in_pair_closure", lambda *args, **kwargs: False)
         with pytest.raises(witnesses.WitnessNotFound):
