@@ -14,7 +14,7 @@ every CLI command does) compiles none of them.
 import sys
 
 # in their import order: a name is looked up in each until one declares it
-_MODULES = ("semigroups", "enumeration", "terms", "geometry", "witnesses")
+_MODULES = ("semigroups", "enumeration", "witnesses", "terms", "geometry")
 __version__ = "0.1.0"
 
 

@@ -31,7 +31,7 @@ from .enumeration import (
     read_corpus,
     split_search,
 )
-from .semigroups import Semigroup, TableError
+from .semigroups import DEFAULT_BUDGET, BudgetExceeded, Semigroup, TableError
 
 EXIT_OK = 0
 EXIT_PIPE_CLOSED = 1
@@ -48,35 +48,36 @@ _CLI_MODES = {"raw": "raw", "iso": "up_to_iso", "iso-anti": "up_to_iso_and_anti"
 SHARDS_PER_JOB = 32
 SHARDS_AHEAD_PER_JOB = 4
 
-# The commands that check tables.  Only they load terms, geometry and
-# witnesses, and only they resolve the budget, so enumerate starts without
-# compiling those modules.  The names they use from them:
-_CHECKING_COMMANDS = ("check", "verify-theorem", "closure", "term-functions")
-_CHECKING_NAMES = (
-    "DEFAULT_BUDGET", "BudgetExceeded", "parse_equations", "term_functions", "PointSet",
-    "algebraic_closure", "solution_set", "union_target_m3", "union_target_m4",
-    "WitnessNotFound", "check_semigroup",
+# The names that check and verify-theorem take from witnesses, and those
+# that closure and term-functions take from terms and geometry.  Each
+# command binds only its own, so that enumerate loads none of those
+# modules, and check and verify-theorem load neither the clone engine nor
+# numpy.
+_THEOREM_NAMES = ("WitnessNotFound", "check_semigroup")
+_CLONE_NAMES = (
+    "parse_equations", "term_functions", "PointSet", "algebraic_closure", "solution_set",
+    "union_target_m3", "union_target_m4",
 )
 
 
-def _bind_checking():
-    """Bind the names of ``_CHECKING_NAMES`` in this module from the package,
-    which loads the modules that declare them.
+def _bind_checking(names):
+    """Bind ``names`` in this module from the package, which loads the
+    modules that declare them.
 
     A name already bound is kept, so a name rebound from outside (as
-    perfbench/tracer.py rebinds ``check_semigroup``) stays rebound.  main
-    calls this before any worker forks, so the workers inherit the modules
-    instead of compiling them again.
+    perfbench/tracer.py rebinds ``check_semigroup``) stays rebound.  The
+    commands call this before any worker forks, so the workers inherit the
+    modules instead of compiling them again.
     """
     bound, package = globals(), sys.modules[__package__]
-    for name in _CHECKING_NAMES:
+    for name in names:
         bound.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
     # ``cli.check_semigroup`` and the like, read from outside before bound
-    if name in _CHECKING_NAMES:
-        _bind_checking()
+    if name in _THEOREM_NAMES + _CLONE_NAMES:
+        _bind_checking((name,))
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -260,7 +261,7 @@ def _check_shard(task):
     ``tables()`` yields, in order, its finished output (None if ``render``
     is None) and its outcome."""
     tables, budget, render = task
-    _bind_checking()  # a no-op after a fork; a worker started afresh binds here
+    _bind_checking(_THEOREM_NAMES)  # a no-op after a fork; a worker started afresh binds here
     for S in tables():
         result = _check_table(S, budget)
         yield None if render is None else render(result), _outcome(result)
@@ -281,6 +282,7 @@ def _run_shards(tasks, jobs: int, describe):
 
 
 def cmd_check(ns) -> int:
+    _bind_checking(_THEOREM_NAMES)
     semigroups = list(read_corpus(ns.file, strict=ns.strict))
     if not semigroups:
         raise CorpusError("no tables found in input")
@@ -326,6 +328,7 @@ def cmd_verify_theorem(ns) -> int:
     if not 1 <= ns.max_order:
         raise ValueError("--max-order must be >= 1")
     _check_order("--max-order", ns.max_order, ns.allow_large)
+    _bind_checking(_THEOREM_NAMES)
     per_order: dict[int, dict] = {}
     for outcome in _run_shards(_theorem_shards(ns), ns.jobs, _describe_shard):
         _count(per_order, outcome)
@@ -429,6 +432,7 @@ def _load_point_set(
 
 
 def cmd_closure(ns) -> int:
+    _bind_checking(_CLONE_NAMES)
     S = _load_single_table(ns.file, ns.strict)
     forced = {"m3": 3, "m4": 4}.get(ns.set)
     if forced is not None and ns.arity is not None and ns.arity != forced:
@@ -462,6 +466,7 @@ def cmd_closure(ns) -> int:
 
 
 def cmd_term_functions(ns) -> int:
+    _bind_checking(_CLONE_NAMES)
     S = _load_single_table(ns.file, ns.strict)
     _check_arity(ns.arity, ns.allow_large)
     funcs = term_functions(S, ns.arity, budget=ns.budget)
@@ -480,17 +485,6 @@ def cmd_term_functions(ns) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """Names the default budget, which terms holds, only when help is shown,
-    so that building the parser loads no terms."""
-
-    def _get_help_string(self, action):
-        if action.dest != "budget":
-            return action.help
-        _bind_checking()
-        return f"{action.help} (default {DEFAULT_BUDGET})"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqdomain",
@@ -506,20 +500,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # the other options, each a parent of only the commands that read it
     budget, strict, large = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    budget.add_argument("--budget", type=int, default=None, help="cap on the size of the computed clone")
+    budget.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help=f"cap on the size of the computed clone (default {DEFAULT_BUDGET})",
+    )
     strict.add_argument("--strict", action="store_true", help="fail on any invalid corpus table")
     large.add_argument("--allow-large", action="store_true", help="lift the soft order/arity limits")
     one_table = [common, budget, strict, large]  # the parents of closure and term-functions
 
     sub = parser.add_subparsers(dest="command", required=True)
-    add = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p = add("check", parents=[common, budget, strict], help="verify one table (or a corpus) end to end")
+    p = sub.add_parser(
+        "check", parents=[common, budget, strict], help="verify one table (or a corpus) end to end"
+    )
     p.add_argument("file", help="Cayley table file")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_check)
 
-    p = add(
+    p = sub.add_parser(
         "verify-theorem", parents=[common, budget, large], help="check every semigroup up to a maximum order"
     )
     p.add_argument("--max-order", type=int, required=True)
@@ -527,12 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = add("enumerate", parents=[common, large], help="stream all tables of one order")
+    p = sub.add_parser("enumerate", parents=[common, large], help="stream all tables of one order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--mode", choices=tuple(_CLI_MODES), default="raw")
     p.set_defaults(func=cmd_enumerate)
 
-    p = add("closure", parents=one_table, help="algebraic closure of a point set over one table")
+    p = sub.add_parser("closure", parents=one_table, help="algebraic closure of a point set over one table")
     p.add_argument("file", help="Cayley table file")
     p.add_argument(
         "--set",
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, default=None)
     p.set_defaults(func=cmd_closure)
 
-    p = add("term-functions", parents=one_table, help="count the term functions of one table")
+    p = sub.add_parser("term-functions", parents=one_table, help="count the term functions of one table")
     p.add_argument("file", help="Cayley table file")
     p.add_argument("--arity", type=int, required=True)
     p.set_defaults(func=cmd_term_functions)
@@ -552,17 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    # the errors of exit 3.  Only the checking commands bind BudgetExceeded,
-    # so an error in enumerate never looks the name up.
-    inconsistent = (WorkerLost,)
     try:
-        if ns.command in _CHECKING_COMMANDS:
-            if ns.budget is not None and ns.budget < 1:
-                raise ValueError("--budget must be >= 1")
-            _bind_checking()
-            inconsistent = (WorkerLost, BudgetExceeded)
-            if ns.budget is None:
-                ns.budget = DEFAULT_BUDGET
+        if getattr(ns, "budget", 1) < 1:
+            raise ValueError("--budget must be >= 1")
         if getattr(ns, "jobs", 1) < 1:
             raise ValueError("--jobs must be >= 1")
         return ns.func(ns)
@@ -571,7 +563,7 @@ def main(argv=None) -> int:
     except (OSError, CorpusError, TableError, ValueError) as e:  # TermSyntaxError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except inconsistent as e:
+    except (WorkerLost, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
 

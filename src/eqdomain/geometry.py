@@ -12,13 +12,12 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
-from .semigroups import Semigroup
+import numpy as np
+
+from .semigroups import DEFAULT_BUDGET, Semigroup
 from .terms import (
     BLOCK_BYTES,
-    DEFAULT_BUDGET,
-    BudgetExceeded,
     Equation,
     System,
     TermFunction,
@@ -33,9 +32,7 @@ from .terms import (
     encode_point,
     term_functions,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
+from .witnesses import in_union_target
 
 __all__ = [
     "POINT_ENCODING",
@@ -43,10 +40,8 @@ __all__ = [
     "solution_set",
     "union_target_m3",
     "union_target_m4",
-    "in_union_target",
     "ClosureCertificate",
     "algebraic_closure",
-    "in_pair_closure",
     "is_algebraic",
 ]
 
@@ -97,14 +92,10 @@ class PointSet:
 
     @classmethod
     def _from_bool(cls, flags: np.ndarray, n: int, k: int) -> "PointSet":
-        import numpy as np
-
         packed = np.packbits(flags, bitorder="little")
         return cls(n, k, int.from_bytes(packed.tobytes(), "little"))
 
     def _bool_array(self) -> np.ndarray:
-        import numpy as np
-
         size = self.n**self.k
         packed = np.frombuffer(self.mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(packed, count=size, bitorder="little").astype(bool)
@@ -235,8 +226,6 @@ class PointSet:
 
 def solution_set(S: Semigroup, obj: Equation | System) -> PointSet:
     """All points satisfying the equation, or every equation of the system."""
-    import numpy as np
-
     if isinstance(obj, Equation):
         equations = (obj,)
         k = obj.arity
@@ -252,17 +241,6 @@ def solution_set(S: Semigroup, obj: Equation | System) -> PointSet:
     for eq in equations:
         keep &= _fold_word(eq.lhs.word, grid, flat, n) == _fold_word(eq.rhs.word, grid, flat, n)
     return PointSet._from_bool(keep, n, k)
-
-
-def in_union_target(point, name: str):
-    """Whether ``point`` lies in the target ``m3`` or ``m4``, without building it.
-
-    ``point`` may be a tuple of ints, or the rows of a :func:`coordinate_grid`,
-    which gives the answer for every point of the grid at once.
-    """
-    if name == "m3":
-        return (point[0] == point[1]) | (point[0] == point[2])
-    return (point[0] == point[1]) | (point[2] == point[3])
 
 
 def union_target_m3(S: Semigroup) -> PointSet:
@@ -291,8 +269,6 @@ class _AgreeingPairs(Sequence):
 
     @cached_property
     def _by_group(self) -> np.ndarray:
-        import numpy as np
-
         return self.members[np.argsort(self.rep[self.members], kind="stable")]
 
     def __len__(self) -> int:
@@ -360,14 +336,12 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     closure are read from the rest of the generating pairs' rows by
     :meth:`_RowLayout.differing`.
     """
-    import numpy as np
-
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
     funcs = term_functions(S, Y.k, budget=budget, first=Y._bool_array().nonzero()[0])
     head = funcs.rows[:, : funcs.layout.lead]
     step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
-    hashes = np.concatenate([_row_hashes(head[s : s + step]) for s in range(0, len(head), step)])
+    hashes = _row_hashes(head)
     rep = _least_of_each(hashes)[0]
     words = head.view(np.uint64)
     while True:
@@ -386,57 +360,6 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     keep = ~funcs.layout.differing(funcs.rows, generating, rep[generating])
     closure = PointSet._from_bool(keep, Y.n, Y.k)
     return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)
-
-
-def in_pair_closure(
-    S: Semigroup, q1, q2, p, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Whether the point p lies in the algebraic closure of {q1, q2}.
-
-    A term function matters here only through its values at the three
-    points, and those triples are exactly the subsemigroup of S^3
-    generated by the k triples (q1[i], q2[i], p[i]).  An equation holds on
-    {q1, q2} and fails at p precisely when two triples share their first
-    two coordinates but not the third, so p is in the closure iff the
-    third coordinate is a function of the first two.  The search stops at
-    the first such pair, so it keeps at most n^2 triples, where the full
-    clone can hold up to n^(n^k) functions.  Each distinct triple counts
-    against ``budget``.
-    """
-    k = len(p)
-    if len(q1) != k or len(q2) != k:
-        raise ValueError("the three points must have the same number of coordinates")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    n = S.order
-    if not all(0 <= c < n for c in (*q1, *q2, *p)):
-        raise ValueError(f"coordinates must lie in 0..{n - 1}")
-    table = S.table
-    generators = tuple(dict.fromkeys(zip(q1, q2, p)))
-    third: dict[tuple[int, int], int] = {}
-    triples: list[tuple[int, int, int]] = []
-
-    def add(a: int, b: int, c: int) -> bool:
-        seen = third.get((a, b))
-        if seen is not None:
-            return seen == c
-        if len(triples) >= budget:
-            raise BudgetExceeded(len(triples) + 1)
-        third[a, b] = c
-        triples.append((a, b, c))
-        return True
-
-    if not all(add(*g) for g in generators):
-        return False
-    # every word extends a one-letter-shorter word on the right
-    head = 0
-    while head < len(triples):
-        a, b, c = triples[head]
-        for x, y, z in generators:
-            if not add(table[a][x], table[b][y], table[c][z]):
-                return False
-        head += 1
-    return True
 
 
 def is_algebraic(

@@ -2,7 +2,8 @@
 
 Elements are the indices ``0..n-1`` and ``table[x][y]`` is the product
 ``x*y``.  Instances are immutable after construction, so they can be
-hashed, shared between threads, and used as cache keys.
+hashed, shared between threads, and used as cache keys.  The closure
+budget of every computation over a table, and its error, live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "DEFAULT_BUDGET",
+    "BudgetExceeded",
     "TableError",
     "OutOfRangeEntry",
     "AssociativityViolation",
@@ -30,6 +33,17 @@ __all__ = [
     "Classification",
     "classify",
 ]
+
+
+DEFAULT_BUDGET = 1_000_000
+
+
+class BudgetExceeded(RuntimeError):
+    """The term-function closure grew past the configured budget."""
+
+    def __init__(self, size: int):
+        super().__init__(f"term-function closure exceeded the budget at size {size}")
+        self.size = size
 
 
 class TableError(ValueError):

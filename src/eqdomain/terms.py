@@ -12,20 +12,16 @@ import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from .semigroups import Semigroup
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
+from .semigroups import DEFAULT_BUDGET, BudgetExceeded, Semigroup
 
 __all__ = [
     "MAX_EXPONENT",
-    "DEFAULT_BUDGET",
     "TermSyntaxError",
     "VariableOutOfRange",
     "EmptyTermError",
-    "BudgetExceeded",
     "format_word",
     "Term",
     "Equation",
@@ -38,16 +34,12 @@ __all__ = [
     "all_points",
     "coordinate_grid",
     "eval_term",
-    "ExponentVector",
-    "exponent_vector",
-    "power_eval",
     "TermFunction",
     "TermFunctions",
     "term_functions",
 ]
 
 MAX_EXPONENT = 64  # parser bound; keeps one factor from expanding unboundedly
-DEFAULT_BUDGET = 1_000_000
 BLOCK_BYTES = 1 << 21  # product bytes formed per step of the term-function search
 _HASH_CHUNK_BYTES = 1 << 17
 
@@ -68,14 +60,6 @@ class VariableOutOfRange(TermSyntaxError):
 
 class EmptyTermError(TermSyntaxError):
     pass
-
-
-class BudgetExceeded(RuntimeError):
-    """The term-function closure grew past the configured budget."""
-
-    def __init__(self, size: int):
-        super().__init__(f"term-function closure exceeded the budget at size {size}")
-        self.size = size
 
 
 def format_word(word: tuple[int, ...]) -> str:
@@ -263,8 +247,6 @@ def all_points(n: int, k: int):
 
 def coordinate_grid(n: int, k: int) -> np.ndarray:
     """Shape (k, n**k) array: row i holds coordinate i of every encoded point."""
-    import numpy as np
-
     return np.indices((n,) * k).reshape(k, n**k)
 
 
@@ -293,28 +275,6 @@ def eval_term(S: Semigroup, term: Term, point) -> int:
 
 
 @dataclass(frozen=True)
-class ExponentVector:
-    """Occurrence counts of each variable in a term."""
-
-    counts: tuple[int, ...]
-
-
-def exponent_vector(term: Term) -> ExponentVector:
-    counts = [0] * term.arity
-    for v in term.word:
-        counts[v] += 1
-    return ExponentVector(tuple(counts))
-
-
-def power_eval(ev: ExponentVector, powers) -> int:
-    """Total exponent of ``a`` when the term is evaluated at (a^powers[0], ...)."""
-    powers = tuple(powers)
-    if len(powers) != len(ev.counts):
-        raise ValueError("one power per variable")
-    return sum(c * p for c, p in zip(ev.counts, powers))
-
-
-@dataclass(frozen=True)
 class TermFunction:
     """A function S^arity -> S realized by some term.
 
@@ -336,8 +296,6 @@ class TermFunction:
 def _hash_keys(count: int) -> np.ndarray:
     """The odd key of each of ``count`` words: the splitmix64 output for
     the word's 1-based position, made odd.  Read-only, as it is shared."""
-    import numpy as np
-
     keys = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         keys = (keys ^ keys >> np.uint64(shift)) * np.uint64(multiplier)
@@ -357,8 +315,6 @@ def _row_hashes(rows: np.ndarray) -> np.ndarray:
     collide.  An equal hash is only a hint; callers confirm it by comparing
     the rows.
     """
-    import numpy as np
-
     words = rows.view(np.uint64)
     keys = _hash_keys(words.shape[1])
     out = np.empty(len(words), dtype=np.uint64)
@@ -378,8 +334,6 @@ def _least_of_each(hashes: np.ndarray):
     hashes is taken.  Its other arrays, as large as ``hashes`` each, are
     freed as soon as they are read.
     """
-    import numpy as np
-
     by_hash = hashes.argsort()
     ordered = hashes[by_hash]
     starts = np.empty(len(hashes), dtype=bool)
@@ -420,8 +374,6 @@ def _digit_table(order: int) -> np.ndarray:
     """``digits[b, t]``: digit t of the byte b in base ``order``, the value
     of slot t of a stored byte, for the most places d with order**d <= 256,
     at most 8.  Read-only, as it is shared."""
-    import numpy as np
-
     places = next(d for d in range(8, 0, -1) if order**d <= 256)
     digits = np.arange(256)[:, None] // order ** np.arange(places) % order
     digits = digits.astype(np.uint8)
@@ -433,8 +385,6 @@ def _digit_table(order: int) -> np.ndarray:
 def _differing_digits(order: int) -> np.ndarray:
     """The 65,536-entry table whose entry ``a + 256*b`` has bit t set when
     digit t of the stored bytes a and b differ.  Read-only, as it is shared."""
-    import numpy as np
-
     digits = _digit_table(order)
     table = np.zeros((256, 256), dtype=np.uint8)  # table[b, a]
     for t in range(digits.shape[1]):
@@ -464,8 +414,6 @@ class _RowLayout:
     """
 
     def __init__(self, order: int, arity: int, pad: int = 0, first=()):
-        import numpy as np
-
         self.order = order
         self.arity = arity
         self.npoints = order**arity
@@ -488,8 +436,6 @@ class _RowLayout:
     def pack(self, values: np.ndarray) -> np.ndarray:
         """The rows of ``values`` (one value per point, in encoded order)
         in the stored layout."""
-        import numpy as np
-
         slots = np.take(np.asarray(values, dtype=np.uint8), self.slots, axis=-1)
         slots = slots.reshape(slots.shape[:-1] + (self.width, self.per_byte))
         # each term is at most (order-1) * order**t, and the byte's sum
@@ -498,8 +444,6 @@ class _RowLayout:
 
     def unpack(self, rows: np.ndarray) -> np.ndarray:
         """The values of the stored ``rows``, one per point, in encoded order."""
-        import numpy as np
-
         slots = _digit_table(self.order)[rows]
         return np.take(slots.reshape(rows.shape[:-1] + (-1,)), self.where, axis=-1)
 
@@ -512,8 +456,6 @@ class _RowLayout:
         :func:`_differing_digits`, a slice of rows at a time, and the bits
         are ORed over the pairs.
         """
-        import numpy as np
-
         rest = rows[:, self.lead :]
         table = _differing_digits(self.order)
         bits = np.zeros(rest.shape[1], dtype=np.uint8)
@@ -539,8 +481,6 @@ class _CloneTable:
     """
 
     def __init__(self, width: int, budget: int, arity: int):
-        import numpy as np
-
         self.budget = budget
         self.rows = np.zeros((0, width), dtype=np.uint8)
         self.count = 0
@@ -554,8 +494,6 @@ class _CloneTable:
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
         """The uint64 words of the rows numbered ``ids``: the stored rows
         below ``count``, and from ``count`` on the rows of ``block``."""
-        import numpy as np
-
         words = np.empty((len(ids), block.shape[1] // 8), dtype=np.uint64)
         inner = ids >= self.count
         words[inner] = block.view(np.uint64)[ids[inner] - self.count]
@@ -581,8 +519,6 @@ class _CloneTable:
         it outlives a step of the search; the reference check is off
         because a profiler's bound-method call adds a reference.
         """
-        import numpy as np
-
         start = self.count
         hashes = _row_hashes(rows)
         rep, by_hash = _least_of_each(hashes)
@@ -639,8 +575,6 @@ class _CloneTable:
         The index is dropped first, so the joined parents and letters can
         take its memory instead of raising the peak.
         """
-        import numpy as np
-
         self.hashes = self.ids = None
         parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
         return TermFunctions(layout, self.rows[: self.count], parents, letters)
@@ -661,8 +595,6 @@ class _ProductCodes:
     """
 
     def __init__(self, table: np.ndarray, layout: _RowLayout):
-        import numpy as np
-
         n = layout.order
         square = np.asarray(table, dtype=np.uint8).T  # square[y, v] is v*y
         codes = np.zeros((1, 1), dtype=np.uint8)  # codes[c, b] over t places
@@ -691,8 +623,6 @@ def _right_products(cells: np.ndarray, letters: np.ndarray, codes: _ProductCodes
     products are written to ``codes.out``, which is grown only when a
     block outgrows it, so each block reuses the pages of the last.
     """
-    import numpy as np
-
     count = len(cells)
     if len(codes.out) < count:
         codes.out = np.empty(cells.shape, dtype=np.uint8)
@@ -842,8 +772,6 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, fi
     (a function count) also bounds the memory: at order 5 and arity 4 a
     stored row is 216 bytes.
     """
-    import numpy as np
-
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if budget < 1:

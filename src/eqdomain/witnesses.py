@@ -12,23 +12,33 @@ and (x, y, y) outside; only the choice of the pair differs.
 :func:`check_semigroup` checks the identities and memberships and
 certifies with :func:`in_pair_closure` that the outside probe lies in the
 closure of the two inside ones.
+
+The module imports only :mod:`.semigroups`, so checking the theorem loads
+no clone engine (``terms``, ``geometry``) and no numpy; that is why the
+union-target test and lemma 3's exponent vectors live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .geometry import in_pair_closure, in_union_target
-from .semigroups import Case, Classification, ElementProfile, Semigroup, classify, monogenic_equal
-from .terms import DEFAULT_BUDGET, ExponentVector, power_eval
+from .semigroups import (
+    DEFAULT_BUDGET, BudgetExceeded, Case, Classification, ElementProfile, Semigroup, classify,
+    monogenic_equal,
+)
 
 __all__ = [
     "WitnessNotFound",
     "WitnessReport",
+    "in_union_target",
+    "in_pair_closure",
     "witness_lemma1_case1",
     "witness_lemma1_case2",
     "witness_lemma2",
     "witness_lemma3",
+    "ExponentVector",
+    "exponent_vector",
+    "power_eval",
     "verify_eq1_argument",
     "check_semigroup",
 ]
@@ -38,8 +48,7 @@ class WitnessNotFound(RuntimeError):
     """A construction the theory guarantees failed: an internal inconsistency."""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Machine-checkable record of one semigroup's verification.
 
     A builder's ``separating_point`` is the outside probe its construction
@@ -78,6 +87,69 @@ class WitnessReport:
             else None,
             "is_equational_domain": self.is_equational_domain,
         }
+
+
+def in_union_target(point, name: str):
+    """Whether ``point`` lies in the target ``m3`` or ``m4``, without building it.
+
+    ``point`` may be a tuple of ints, or the rows of a
+    :func:`~eqdomain.terms.coordinate_grid`, which gives the answer for every
+    point of the grid at once.
+    """
+    if name == "m3":
+        return (point[0] == point[1]) | (point[0] == point[2])
+    return (point[0] == point[1]) | (point[2] == point[3])
+
+
+def in_pair_closure(
+    S: Semigroup, q1, q2, p, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Whether the point p lies in the algebraic closure of {q1, q2}.
+
+    A term function matters here only through its values at the three
+    points, and those triples are exactly the subsemigroup of S^3
+    generated by the k triples (q1[i], q2[i], p[i]).  An equation holds on
+    {q1, q2} and fails at p precisely when two triples share their first
+    two coordinates but not the third, so p is in the closure iff the
+    third coordinate is a function of the first two.  The search stops at
+    the first such pair, so it keeps at most n^2 triples, where the full
+    clone can hold up to n^(n^k) functions.  Each distinct triple counts
+    against ``budget``.
+    """
+    k = len(p)
+    if len(q1) != k or len(q2) != k:
+        raise ValueError("the three points must have the same number of coordinates")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    n = S.order
+    if not all(0 <= c < n for c in (*q1, *q2, *p)):
+        raise ValueError(f"coordinates must lie in 0..{n - 1}")
+    table = S.table
+    generators = tuple(dict.fromkeys(zip(q1, q2, p)))
+    third: dict[tuple[int, int], int] = {}
+    triples: list[tuple[int, int, int]] = []
+
+    def add(a: int, b: int, c: int) -> bool:
+        seen = third.get((a, b))
+        if seen is not None:
+            return seen == c
+        if len(triples) >= budget:
+            raise BudgetExceeded(len(triples) + 1)
+        third[a, b] = c
+        triples.append((a, b, c))
+        return True
+
+    if not all(add(*g) for g in generators):
+        return False
+    # every word extends a one-letter-shorter word on the right
+    head = 0
+    while head < len(triples):
+        a, b, c = triples[head]
+        for x, y, z in generators:
+            if not add(table[a][x], table[b][y], table[c][z]):
+                return False
+        head += 1
+    return True
 
 
 def _classified(S: Semigroup, cls: Classification | None, case: Case) -> Classification:
@@ -235,6 +307,28 @@ def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessRe
         separating_point=(a3, a2, a3, a2),
         is_equational_domain=False,
     )
+
+
+class ExponentVector(NamedTuple):
+    """Occurrence counts of each variable in a term."""
+
+    counts: tuple[int, ...]
+
+
+def exponent_vector(term) -> ExponentVector:
+    """The occurrence counts of each variable in ``term``, a :class:`~eqdomain.terms.Term`."""
+    counts = [0] * term.arity
+    for v in term.word:
+        counts[v] += 1
+    return ExponentVector(tuple(counts))
+
+
+def power_eval(ev: ExponentVector, powers) -> int:
+    """Total exponent of ``a`` when the term is evaluated at (a^powers[0], ...)."""
+    powers = tuple(powers)
+    if len(powers) != len(ev.counts):
+        raise ValueError("one power per variable")
+    return sum(c * p for c, p in zip(ev.counts, powers))
 
 
 # Powers of a at the two inside probes and at the outside probe: the

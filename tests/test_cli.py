@@ -580,6 +580,7 @@ class TestTermFunctions:
 
 # Runs one CLI command in a fresh interpreter, then reports which of the
 # heavy modules it loaded; this suite's own imports load numpy already.
+# Checking the theorem needs none of the clone engine's modules.
 PROBE = """
 import contextlib, io, json, sys
 from eqdomain.cli import main
@@ -587,7 +588,8 @@ argv = json.loads(sys.argv[1])
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(argv) if argv else 0
-loaded = [m for m in ("numpy", "multiprocessing") if m in sys.modules]
+heavy = ("numpy", "multiprocessing", "eqdomain.terms", "eqdomain.geometry", "dataclasses", "inspect")
+loaded = [m for m in heavy if m in sys.modules]
 print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
 """
 
@@ -730,23 +732,25 @@ print(json.dumps({"codes": codes, "bound": bound}))
 # Every name the package exported when it imported all its modules at once
 PACKAGE_EXPORTS = {
     "semigroups": (
+        "DEFAULT_BUDGET BudgetExceeded "
         "AssociativityViolation Case Classification ElementProfile OutOfRangeEntry Semigroup "
         "TableError classify element_profile is_idempotent is_nowhere_commutative "
         "is_rectangular_band monogenic_equal monogenic_table satisfies_x2_x3"
     ),
     "terms": (
-        "DEFAULT_BUDGET MAX_EXPONENT BudgetExceeded EmptyTermError Equation ExponentVector System "
+        "MAX_EXPONENT EmptyTermError Equation System "
         "Term TermFunction TermFunctions TermSyntaxError VariableOutOfRange all_points "
-        "coordinate_grid decode_point encode_point eval_term exponent_vector format_word "
-        "parse_equation parse_equations parse_term power_eval term_functions"
+        "coordinate_grid decode_point encode_point eval_term format_word "
+        "parse_equation parse_equations parse_term term_functions"
     ),
     "geometry": (
-        "ClosureCertificate PointSet algebraic_closure in_pair_closure is_algebraic solution_set "
+        "ClosureCertificate PointSet algebraic_closure is_algebraic solution_set "
         "union_target_m3 union_target_m4"
     ),
     "witnesses": (
         "WitnessNotFound WitnessReport check_semigroup verify_eq1_argument witness_lemma1_case1 "
-        "witness_lemma1_case2 witness_lemma2 witness_lemma3"
+        "witness_lemma1_case2 witness_lemma2 witness_lemma3 "
+        "ExponentVector exponent_vector power_eval in_pair_closure"
     ),
     "enumeration": (
         "MODES CanonicalForm CorpusError CorpusWarning canonicalize enumerate_tables format_table "
@@ -808,9 +812,16 @@ from eqdomain import cli
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("eqdomain.") or m == "numpy")))
 """
 
+# The same for the theorem's checker, which the package finds in witnesses
+# before it looks in terms or geometry
+FROM_PACKAGE_IMPORT_CHECK = """
+import json, sys
+from eqdomain import check_semigroup
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("eqdomain.") or m == "numpy")))
+"""
 
-# Makes enumerate raise an error that main maps to no exit code, in an
-# interpreter where no checking command has bound BudgetExceeded, and
+
+# Makes enumerate raise an error that main maps to no exit code, and
 # prints what reaches the caller
 UNMAPPED_IN_ENUMERATE = """
 import json
@@ -823,7 +834,7 @@ cli.enumerate_tables = enumerate_tables
 try:
     cli.main(["enumerate", "--order", "2"])
 except Exception as e:
-    print(json.dumps({"raised": type(e).__name__, "error": str(e), "bound": "BudgetExceeded" in vars(cli)}))
+    print(json.dumps({"raised": type(e).__name__, "error": str(e)}))
 """
 
 
@@ -863,7 +874,7 @@ class TestLazyBinding:
 
     def test_an_unmapped_error_in_enumerate_propagates_as_itself(self):
         result = run_python(UNMAPPED_IN_ENUMERATE)
-        assert result == {"raised": "Unmapped", "error": "injected", "bound": False}
+        assert result == {"raised": "Unmapped", "error": "injected"}
 
     def test_package_exports_resolve_on_first_use(self):
         result = run_python(RESOLVE_EXPORTS, json.dumps(PACKAGE_EXPORTS))
@@ -880,6 +891,13 @@ class TestExportResolver:
             "eqdomain.cli",
             "eqdomain.enumeration",
             "eqdomain.semigroups",
+        ]
+
+    def test_importing_the_checker_from_the_package_loads_no_clone_engine(self):
+        assert run_python(FROM_PACKAGE_IMPORT_CHECK) == [
+            "eqdomain.enumeration",
+            "eqdomain.semigroups",
+            "eqdomain.witnesses",
         ]
 
 
