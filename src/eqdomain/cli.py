@@ -49,10 +49,10 @@ SHARDS_PER_JOB = 32
 SHARDS_AHEAD_PER_JOB = 4
 
 # The names that check and verify-theorem take from witnesses, and those
-# that closure and term-functions take from terms and geometry.  Each
-# command binds only its own, so that enumerate loads none of those
-# modules, and check and verify-theorem load neither the clone engine nor
-# numpy.
+# that closure takes from terms and geometry (term-functions takes only
+# term_functions).  Each command binds only its own, so that enumerate
+# loads none of those modules, check and verify-theorem load neither the
+# clone engine nor numpy, and term-functions does not load geometry.
 _THEOREM_NAMES = ("WitnessNotFound", "check_semigroup")
 _CLONE_NAMES = (
     "parse_equations", "term_functions", "PointSet", "algebraic_closure", "solution_set",
@@ -147,19 +147,19 @@ def _start_worker(fn):
     return conn, process
 
 
-def _ordered_map(fn, tasks, jobs: int, ahead: int, describe):
+def _ordered_map(fn, tasks, jobs: int, describe):
     """``fn(task)`` for each task, in task order, yielded as it arrives.
 
     ``tasks`` may be any iterable, read as the results are wanted.  Up to
     ``jobs`` worker processes run the tasks, never more than there are
     tasks, and each result comes back as ``list(fn(task))``.  A worker
-    takes the next task as soon as it is free, and at most ``ahead`` tasks
-    are out at once: a reader slower than the workers holds them back
-    instead of letting results pile up.  With one worker the tasks run in
-    this process and ``fn(task)`` is yielded as it is, so a generator is
-    read only as its reader asks.  If a worker dies, the task it
-    held, named by ``describe(index, task)``, is reported by raising
-    :class:`WorkerLost`.
+    takes the next task as soon as it is free, and at most
+    ``SHARDS_AHEAD_PER_JOB * jobs`` tasks are out at once: a reader slower
+    than the workers holds them back instead of letting results pile up.
+    With one worker the tasks run in this process and ``fn(task)`` is
+    yielded as it is, so a generator is read only as its reader asks.  If
+    a worker dies, the task it held, named by ``describe(index, task)``, is
+    reported by raising :class:`WorkerLost`.
     """
     tasks = iter(tasks)
     head = list(islice(tasks, jobs))
@@ -171,13 +171,12 @@ def _ordered_map(fn, tasks, jobs: int, ahead: int, describe):
     workers = dict(_start_worker(fn) for _ in head)  # pipe -> process
     numbered = enumerate(chain(head, tasks))
     idle, busy, done = list(workers), {}, {}  # busy: pipe -> (index, task)
-    sent = yielded = 0
+    ahead, yielded = SHARDS_AHEAD_PER_JOB * jobs, 0
     try:
         while True:
-            while idle and sent < yielded + ahead and (item := next(numbered, None)):
+            while idle and len(busy) + len(done) < ahead and (item := next(numbered, None)):
                 conn = idle.pop()
                 busy[conn] = item
-                sent += 1
                 conn.send(item[1])
             if yielded in done:
                 yield done.pop(yielded)
@@ -270,8 +269,7 @@ def _check_shard(task):
 def _run_shards(tasks, jobs: int, describe):
     """The outcome of each table of the shard tasks, in order, printing
     each table's output as it comes."""
-    ahead = SHARDS_AHEAD_PER_JOB * jobs
-    for shard in _ordered_map(_check_shard, tasks, jobs, ahead, describe):
+    for shard in _ordered_map(_check_shard, tasks, jobs, describe):
         for text, outcome in shard:
             if text is not None:
                 print(text)
@@ -434,11 +432,9 @@ def _load_point_set(
 def cmd_closure(ns) -> int:
     _bind_checking(_CLONE_NAMES)
     S = _load_single_table(ns.file, ns.strict)
-    forced = {"m3": 3, "m4": 4}.get(ns.set)
-    if forced is not None and ns.arity is not None and ns.arity != forced:
-        raise ValueError(f"--set {ns.set} fixes --arity {forced}")
-    arity = forced if forced is not None else ns.arity
-    Y, label = _load_point_set(ns.set, S, arity, ns.allow_large)
+    Y, label = _load_point_set(ns.set, S, ns.arity, ns.allow_large)
+    if ns.arity not in (None, Y.k):  # only m3 and m4: a file's arity is checked against --arity
+        raise ValueError(f"--set {ns.set} fixes --arity {Y.k}")
     cert = algebraic_closure(S, Y, budget=ns.budget)
     algebraic = cert.closure == Y
     separating = None if algebraic else cert.closure.difference(Y).least_point()
@@ -466,7 +462,7 @@ def cmd_closure(ns) -> int:
 
 
 def cmd_term_functions(ns) -> int:
-    _bind_checking(_CLONE_NAMES)
+    _bind_checking(("term_functions",))
     S = _load_single_table(ns.file, ns.strict)
     _check_arity(ns.arity, ns.allow_large)
     funcs = term_functions(S, ns.arity, budget=ns.budget)

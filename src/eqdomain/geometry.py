@@ -203,12 +203,15 @@ class PointSet:
 
     @classmethod
     def from_jsonable(cls, obj, n: int | None = None, k: int | None = None) -> "PointSet":
-        """Accepts a bare list of points or either serialized object form."""
+        """Accepts a bare list of points or either serialized object form,
+        with its ``points`` or its ``bitmap`` but not both."""
         n, k = cls.jsonable_shape(obj, n, k)
         if isinstance(obj, list):
             return cls.from_points(n, k, obj)
         if "encoding" in obj and obj["encoding"] != POINT_ENCODING:
             raise ValueError(f"unsupported point encoding {obj['encoding']!r}")
+        if "bitmap" in obj and "points" in obj:
+            raise ValueError("point-set object has both 'points' and 'bitmap'; give one")
         if "bitmap" in obj:
             if not isinstance(obj["bitmap"], str):
                 raise ValueError("'bitmap' must be a hex string")

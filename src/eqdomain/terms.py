@@ -544,22 +544,14 @@ class _CloneTable:
         end = start + len(new)
         if end > self.budget:
             raise BudgetExceeded(self.budget + 1)
-        # the new rows' hashes, in hash order, go where the search put them,
-        # each past the new ones before it; a new row is numbered by its
-        # place among the new rows of the block
+        # the new rows' hashes, in hash order, go where the search put them
+        # (np.insert keeps the order of those bound for one place); a new
+        # row is numbered by its place among the new rows of the block
         merge = fresh[by_hash]
-        place = at[merge]
-        place += np.arange(len(place))
-        old = np.ones(len(self.hashes) + len(place), dtype=bool)
-        old[place] = False
-        merge = by_hash[merge]
         numbers = fresh.cumsum()
         numbers += start - 1
-        index = np.empty(len(old), dtype=np.uint64), np.empty(len(old), dtype=self.id_type)
-        for merged, before, values in zip(index, (self.hashes, self.ids), (hashes[merge], numbers[merge])):
-            merged[place] = values
-            merged[old] = before
-        self.hashes, self.ids = index
+        self.ids = np.insert(self.ids, at[merge], numbers[by_hash[merge]])
+        self.hashes = np.insert(self.hashes, at[merge], ordered[merge])
         if len(self.rows) < end:
             self.rows.resize((end, self.rows.shape[1]), refcheck=False)
         # the indices are in range; the default mode="raise" would first

@@ -350,7 +350,7 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_ordered_map_reads_its_tasks_lazily_in_order(self, jobs):
-        pulled, ahead = 0, 3
+        pulled, ahead = 0, cli.SHARDS_AHEAD_PER_JOB * jobs
 
         def tasks():
             nonlocal pulled
@@ -358,7 +358,7 @@ class TestVerifyTheorem:
                 pulled += 1
                 yield partial(iter, [S]), DEFAULT_BUDGET, cli._json_line
 
-        results = cli._ordered_map(cli._check_shard, tasks(), jobs, ahead, lambda index, task: f"task {index}")
+        results = cli._ordered_map(cli._check_shard, tasks(), jobs, lambda index, task: f"task {index}")
         first = list(next(results))
         # at most jobs + ahead tasks are out before the first result
         assert 1 <= pulled <= jobs + ahead
@@ -531,6 +531,7 @@ class TestClosure:
             ({"n": 2, "k": [2], "points": []}, "2", "'k' must be an integer"),
             ({"n": 2, "k": 5, "points": []}, None, "--allow-large"),
             ({"n": 2, "k": 3, "points": []}, "2", "k=3, expected 2"),
+            ({"n": 2, "k": 2, "points": [[0, 1]], "bitmap": "1"}, "2", "both 'points' and 'bitmap'"),
         ],
     )
     def test_malformed_points_file_is_exit_2(
@@ -671,6 +672,7 @@ class TestColdStart:
             "order 2  arity 2  distinct term functions: 4\n  x1\n  x2\n  x1^2\n  x1 x2\n"
         )
         assert "numpy" in result["loaded"]
+        assert "eqdomain.geometry" not in result["loaded"]
 
     def test_enumerate_loads_only_what_it_runs(self):
         result = run_python(IMPORT_SETS)
@@ -820,6 +822,15 @@ from eqdomain import check_semigroup
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("eqdomain.") or m == "numpy")))
 """
 
+# A dunder lookup, as ``hasattr(obj, "__wrapped__")`` in inspect and
+# decorators makes, and the modules it loads
+HASATTR_DUNDER = """
+import json, sys
+import eqdomain
+found = hasattr(eqdomain, "__wrapped__")
+print(json.dumps([found, sorted(m for m in sys.modules if m.startswith("eqdomain.") or m == "numpy")]))
+"""
+
 
 # Makes enumerate raise an error that main maps to no exit code, and
 # prints what reaches the caller
@@ -899,6 +910,9 @@ class TestExportResolver:
             "eqdomain.semigroups",
             "eqdomain.witnesses",
         ]
+
+    def test_a_dunder_lookup_loads_no_module(self):
+        assert run_python(HASATTR_DUNDER) == [False, []]
 
 
 @pytest.fixture(scope="module")

@@ -107,6 +107,7 @@ class TestPointSet:
             {"n": 2, "k": "2", "points": []},
             {"n": 2, "k": 2, "bitmap": 5},
             {"n": 2, "k": 3, "points": []},
+            {"n": 2, "k": 2, "points": [[0, 1]], "bitmap": "1"},  # each alone is valid
         ],
     )
     def test_malformed_json_is_value_error(self, obj):
