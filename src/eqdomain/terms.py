@@ -474,10 +474,11 @@ class _CloneTable:
     """Distinct stored rows in discovery order, with an exact hash index.
 
     The index is two arrays: ``hashes`` holds the stored rows' hashes in
-    ascending order, and ``ids`` the number of each hash's row.  Row
-    numbers, the index's and the parents', are int32 unless the budget
-    needs int64, and letters take the narrowest unsigned type that holds
-    the arity.
+    ascending order, and ``ids`` the number of each hash's row.  Both are
+    views of a pair of arrays with room to grow, and ``spare`` is a second
+    such pair, which the next merge writes into.  Row numbers, the index's
+    and the parents', are int32 unless the budget needs int64, and letters
+    take the narrowest unsigned type that holds the arity.
     """
 
     def __init__(self, width: int, budget: int, arity: int):
@@ -488,8 +489,8 @@ class _CloneTable:
         self.letters: list[np.ndarray] = []
         self.id_type = np.dtype(np.int32 if budget < np.iinfo(np.int32).max else np.int64)
         self.letter_type = np.min_scalar_type(arity - 1)
-        self.hashes = np.zeros(0, dtype=np.uint64)
-        self.ids = np.zeros(0, dtype=self.id_type)
+        self.hashes, self.ids = np.zeros(0, dtype=np.uint64)[:], np.zeros(0, dtype=self.id_type)[:]
+        self.spare = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=self.id_type)
 
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
         """The uint64 words of the rows numbered ``ids``: the stored rows
@@ -544,14 +545,24 @@ class _CloneTable:
         end = start + len(new)
         if end > self.budget:
             raise BudgetExceeded(self.budget + 1)
-        # the new rows' hashes, in hash order, go where the search put them
-        # (np.insert keeps the order of those bound for one place); a new
-        # row is numbered by its place among the new rows of the block
+        # the new rows' hashes, in hash order, go where the search put them,
+        # each past the new ones before it, and the old entries fill the rest
+        # of the spare pair, paged in already, unlike a fresh pair; a new row
+        # is numbered by its place among the new rows of the block
         merge = fresh[by_hash]
+        place = at[merge]
+        place += np.arange(len(place))
+        old = np.ones(len(self.hashes) + len(place), dtype=bool)
+        old[place] = False
         numbers = fresh.cumsum()
         numbers += start - 1
-        self.ids = np.insert(self.ids, at[merge], numbers[by_hash[merge]])
-        self.hashes = np.insert(self.hashes, at[merge], ordered[merge])
+        if len(self.spare[0]) < len(old):
+            self.spare = np.empty(2 * len(old), dtype=np.uint64), np.empty(2 * len(old), dtype=self.id_type)
+        hashes, ids = self.spare[0][: len(old)], self.spare[1][: len(old)]
+        hashes[place], hashes[old] = ordered[merge], self.hashes
+        ids[place], ids[old] = numbers[by_hash[merge]], self.ids
+        self.spare = self.hashes.base, self.ids.base
+        self.hashes, self.ids = hashes, ids
         if len(self.rows) < end:
             self.rows.resize((end, self.rows.shape[1]), refcheck=False)
         # the indices are in range; the default mode="raise" would first
@@ -564,10 +575,11 @@ class _CloneTable:
     def functions(self, layout: _RowLayout) -> TermFunctions:
         """The stored rows as term functions; the table takes no more rows.
 
-        The index is dropped first, so the joined parents and letters can
-        take its memory instead of raising the peak.
+        The index and its spare pair are dropped first, so the joined
+        parents and letters can take their memory instead of raising the
+        peak.
         """
-        self.hashes = self.ids = None
+        self.hashes = self.ids = self.spare = None
         parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
         return TermFunctions(layout, self.rows[: self.count], parents, letters)
 
