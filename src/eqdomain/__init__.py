@@ -30,8 +30,8 @@ def __getattr__(name):
     if name == "__all__":  # every module's, which loads them all
         value = [*(n for module in _MODULES for n in _load(module).__all__), *_MODULES]
     else:
-        # no module declares a dunder, so hasattr(eqdomain, "__wrapped__") loads none
-        modules = () if name.startswith("__") else map(_load, _MODULES)
+        # no module declares a name that starts with "_", so hasattr(eqdomain, "_repr_html_") loads none
+        modules = () if name.startswith("_") else map(_load, _MODULES)
         module = next((m for m in modules if name in m.__all__), None)
         if module is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -402,31 +402,28 @@ def _blocks(text: str):
 
 
 def _parse_block(block, table_index: int):
+    def error(line, message):
+        return CorpusError(f"line {line}: {message}", line=line, table_index=table_index)
+
     lineno, header = block[0]
     parts = header.split()
-    if len(parts) != 1 or not parts[0].isdecimal():
-        raise CorpusError(
-            f"line {lineno}: expected the table order on its own line, found {header.strip()!r}",
-            line=lineno,
-            table_index=table_index,
-        )
-    n = int(parts[0])
+    try:
+        if len(parts) != 1 or not parts[0].isdecimal():
+            raise ValueError
+        n = int(parts[0])  # a ValueError too for more digits than int() converts
+    except ValueError:
+        raise error(lineno, f"expected the table order on its own line, found {header.strip()!r}") from None
     if len(block) - 1 != n:
-        raise CorpusError(
-            f"line {lineno}: table of order {n} needs {n} rows, found {len(block) - 1}",
-            line=lineno,
-            table_index=table_index,
-        )
+        raise error(lineno, f"table of order {n} needs {n} rows, found {len(block) - 1}")
     rows = []
     for row_line, raw in block[1:]:
         entries = raw.split()
-        if len(entries) != n or not all(e.removeprefix("-").isdecimal() for e in entries):
-            raise CorpusError(
-                f"line {row_line}: expected {n} integers, found {raw.strip()!r}",
-                line=row_line,
-                table_index=table_index,
-            )
-        rows.append([int(e) for e in entries])
+        try:
+            if len(entries) != n or not all(e.removeprefix("-").isdecimal() for e in entries):
+                raise ValueError
+            rows.append([int(e) for e in entries])
+        except ValueError:
+            raise error(row_line, f"expected {n} integers, found {raw.strip()!r}") from None
     return lineno, rows
 
 

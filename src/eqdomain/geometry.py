@@ -17,16 +17,11 @@ import numpy as np
 
 from .semigroups import DEFAULT_BUDGET, Semigroup
 from .terms import (
-    BLOCK_BYTES,
     Equation,
     System,
     TermFunction,
     TermFunctions,
     _fold_word,
-    _least_of_each,
-    _regroup,
-    _row_hashes,
-    _with_hash,
     coordinate_grid,
     decode_point,
     encode_point,
@@ -296,10 +291,7 @@ class ClosureCertificate:
     ``agreeing_pairs`` holds, for every class of term functions that agree
     on the input set, the pairs (representative, other member); the closure
     is exactly the intersection of the equality sets of these pairs, and it
-    always contains the input set.  The pairs whose member has no parent
-    or a representative as parent already give that intersection: any
-    other member u = q·x_j equals r·x_j, for q's representative r, wherever
-    q equals r, and r·x_j is a function of u's group found before u.
+    always contains the input set.
     """
 
     agreeing_pairs: Sequence[tuple[TermFunction, TermFunction]]
@@ -313,55 +305,14 @@ def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -
     restriction to Y (two functions agreeing on Y give an equation that
     holds on Y), and keeps the points where every group is still constant.
     Grouping makes this linear in the number of functions instead of
-    quadratic over function pairs.  Groups are found by a hash of the
-    restriction and confirmed by comparing restrictions; the first member
-    of a group, in discovery order, is its representative.
-
-    Restrictions are never gathered.  The clone is built with Y's points
-    stored first, so the restriction of a function to Y is the first
-    ``layout.lead`` bytes of its row, a view hashed as it is.  One sort of
-    the hashes puts each group in a run, and the least function of the run
-    is its representative.
-
-    Only the generating pairs are read: (u, rep(u)) for each member u
-    whose parent is -1 or a representative.  They imply the others, by
-    induction in discovery order, which is the shortlex order of the
-    witness words.  A member u = q·x_j whose parent q is a member with
-    representative r lies in the group of w = r·x_j, as q and r agree on
-    Y.  The witness of w is at most word(r)·x_j, shortlex below word(q)·x_j
-    = word(u), so w was found before u.  Wherever q = r and w = rep(w) hold,
-    u = w = rep(u) holds too.  So the points where the generating pairs
-    agree are the closure.  The same induction, at the points of Y with
-    groups of one hash, shows that the groups are exact once no generating
-    pair's leading bytes differ.  The rows of a hash where some do are
-    regrouped by their bytes; that changes which members are generating,
-    so the check runs again until none differ.  The points that leave the
-    closure are read from the rest of the generating pairs' rows by
-    :meth:`_RowLayout.differing`.
+    quadratic over function pairs.  The clone is built with Y's points
+    stored first, and :meth:`TermFunctions.agreement` groups it on them.
     """
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
     funcs = term_functions(S, Y.k, budget=budget, first=Y._bool_array().nonzero()[0])
-    head = funcs.rows[:, : funcs.layout.lead]
-    step = max(1, BLOCK_BYTES // funcs.rows.shape[1])
-    hashes = _row_hashes(head)
-    rep = _least_of_each(hashes)[0]
-    words = head.view(np.uint64)
-    while True:
-        members = (rep != np.arange(len(rep))).nonzero()[0]
-        parent = funcs.parent[members]
-        generating = members[(parent < 0) | (rep[parent] == parent)]
-        split = [generating[:0]]
-        for s in range(0, len(generating), step):
-            part = generating[s : s + step]
-            split.append(part[(words[part] != words[rep[part]]).any(axis=1)])
-        split = np.concatenate(split)
-        if not len(split):
-            break
-        # hashes shared by different restrictions: regroup their rows exactly
-        _regroup(rep, _with_hash(hashes, np.unique(hashes[split])), lambda rows: head[rows])
-    keep = ~funcs.layout.differing(funcs.rows, generating, rep[generating])
-    closure = PointSet._from_bool(keep, Y.n, Y.k)
+    rep, members, differ = funcs.agreement()
+    closure = PointSet._from_bool(~differ, Y.n, Y.k)
     return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)
 
 

@@ -136,6 +136,14 @@ class System:
         return self.equations[0].arity
 
 
+def _decimal(digits: str) -> int | float:
+    """``int(digits)``, or infinity for more digits than ``int`` converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float("inf")
+
+
 def parse_term(text: str, arity: int) -> Term:
     """Parse a term such as ``x1 x2^2``.
 
@@ -161,7 +169,7 @@ def parse_term(text: str, arity: int) -> Term:
         if j == i + 1:
             raise TermSyntaxError("expected a variable number after 'x'", i + 1)
         name = text[i:j]
-        var = int(text[i + 1 : j])
+        var = _decimal(text[i + 1 : j])
         if not 1 <= var <= arity:
             raise VariableOutOfRange(name, arity, i)
         i = j
@@ -177,7 +185,7 @@ def parse_term(text: str, arity: int) -> Term:
                 j += 1
             if j == i:
                 raise TermSyntaxError("expected an exponent after '^'", i)
-            exp = int(text[i:j])
+            exp = _decimal(text[i:j])
             if exp < 1:
                 raise TermSyntaxError("exponent must be >= 1", i)
             if exp > MAX_EXPONENT:
@@ -484,7 +492,6 @@ class _CloneTable:
     def __init__(self, width: int, budget: int, arity: int):
         self.budget = budget
         self.rows = np.zeros((0, width), dtype=np.uint8)
-        self.count = 0
         self.parents: list[np.ndarray] = []
         self.letters: list[np.ndarray] = []
         self.id_type = np.dtype(np.int32 if budget < np.iinfo(np.int32).max else np.int64)
@@ -493,11 +500,11 @@ class _CloneTable:
         self.spare = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=self.id_type)
 
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The uint64 words of the rows numbered ``ids``: the stored rows
-        below ``count``, and from ``count`` on the rows of ``block``."""
+        """The uint64 words of the rows numbered ``ids``: the stored rows,
+        and past them the rows of ``block``."""
         words = np.empty((len(ids), block.shape[1] // 8), dtype=np.uint64)
-        inner = ids >= self.count
-        words[inner] = block.view(np.uint64)[ids[inner] - self.count]
+        inner = ids >= len(self.rows)
+        words[inner] = block.view(np.uint64)[ids[inner] - len(self.rows)]
         words[~inner] = self.rows.view(np.uint64)[ids[~inner]]
         return words
 
@@ -505,11 +512,11 @@ class _CloneTable:
         """Append the rows not seen before, in order, first occurrence kept.
 
         The block is grouped where it lies, row i under the provisional
-        number ``count + i``.  One sort of the block's hashes points each
-        row at the least row of the block with its hash
-        (:func:`_least_of_each`), and one search of the sorted hashes in
-        the index points it at a stored row with its hash instead, where
-        there is one.  Each pointer is confirmed by comparing the two
+        number ``start + i``, past the ``start`` stored rows.  One sort of
+        the block's hashes points each row at the least row of the block
+        with its hash (:func:`_least_of_each`), and one search of the sorted
+        hashes in the index points it at a stored row with its hash instead,
+        where there is one.  Each pointer is confirmed by comparing the two
         rows, and the rows of a hash that different rows share are
         regrouped by their bytes (:func:`_regroup`), so two different
         functions are never merged.  The rows that point at themselves are
@@ -520,7 +527,7 @@ class _CloneTable:
         it outlives a step of the search; the reference check is off
         because a profiler's bound-method call adds a reference.
         """
-        start = self.count
+        start = len(self.rows)
         hashes = _row_hashes(rows)
         rep, by_hash = _least_of_each(hashes)
         rep += start
@@ -563,14 +570,12 @@ class _CloneTable:
         ids[place], ids[old] = numbers[by_hash[merge]], self.ids
         self.spare = self.hashes.base, self.ids.base
         self.hashes, self.ids = hashes, ids
-        if len(self.rows) < end:
-            self.rows.resize((end, self.rows.shape[1]), refcheck=False)
+        self.rows.resize((end, self.rows.shape[1]), refcheck=False)
         # the indices are in range; the default mode="raise" would first
         # build the result in a temporary and then copy it into out
         np.take(rows, new, axis=0, out=self.rows[start:end], mode="clip")
         self.parents.append(parent[new].astype(self.id_type))
         self.letters.append(letter[new].astype(self.letter_type))
-        self.count = end
 
     def functions(self, layout: _RowLayout) -> TermFunctions:
         """The stored rows as term functions; the table takes no more rows.
@@ -581,7 +586,7 @@ class _CloneTable:
         """
         self.hashes = self.ids = self.spare = None
         parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
-        return TermFunctions(layout, self.rows[: self.count], parents, letters)
+        return TermFunctions(layout, self.rows, parents, letters)
 
 
 class _ProductCodes:
@@ -698,6 +703,52 @@ class TermFunctions(Sequence):
         """
         return _texts(self.parent, self.letter)
 
+    def agreement(self):
+        """How the functions group by their values at the layout's first
+        points, for a clone built with ``first``: ``(rep, members, differ)``.
+
+        ``rep[i]`` is the first function that agrees with function i there,
+        ``members`` the functions that are not their own ``rep``, ascending,
+        and ``differ``, a bool per point in encoded order, whether some
+        generating pair differs there.  The first ``lead`` bytes of a row
+        hold its values there, hashed in place; one sort of the hashes puts
+        each group in a run, whose least function is its representative.
+
+        The generating pairs are (u, rep(u)) for each member u whose parent
+        is -1 or a representative.  They imply the others, by induction in
+        discovery order, which is the shortlex order of the witness words.
+        A member u = q·x_j whose parent q is a member with representative r
+        lies in the group of w = r·x_j, as q and r agree at the first
+        points.  The witness of w is at most word(r)·x_j, shortlex below
+        word(q)·x_j = word(u), so w was found before u.  Wherever q = r and
+        w = rep(w) hold, u = w = rep(u) holds too.  So every pair agrees
+        wherever the generating pairs do.  The same induction, at the first
+        points with groups of one hash, shows that the groups are exact once
+        no generating pair's leading bytes differ.  The rows of a hash where
+        some do are regrouped by their bytes; that changes which members are
+        generating, so the check runs again until none differ.  The rest of
+        the generating pairs' rows is read by :meth:`_RowLayout.differing`.
+        """
+        head = self.rows[:, : self.layout.lead]
+        step = max(1, BLOCK_BYTES // self.rows.shape[1])
+        hashes = _row_hashes(head)
+        rep = _least_of_each(hashes)[0]
+        words = head.view(np.uint64)
+        while True:
+            members = (rep != np.arange(len(rep))).nonzero()[0]
+            parent = self.parent[members]
+            generating = members[(parent < 0) | (rep[parent] == parent)]
+            split = [generating[:0]]
+            for s in range(0, len(generating), step):
+                part = generating[s : s + step]
+                split.append(part[(words[part] != words[rep[part]]).any(axis=1)])
+            split = np.concatenate(split)
+            if not len(split):
+                break
+            # hashes shared by different restrictions: regroup their rows exactly
+            _regroup(rep, _with_hash(hashes, np.unique(hashes[split])), lambda rows: head[rows])
+        return rep, members, self.layout.differing(self.rows, generating, rep[generating])
+
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
         values = self.layout.unpack(self.rows[i]).tobytes()
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
@@ -790,24 +841,25 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, fi
     clone.add(codes.projections, np.full(arity, -1), np.arange(arity))
     ids = clone.id_type
     above, above_start = np.full((1, arity), -1, dtype=ids), -1
-    above[0, clone.letters[0]] = np.arange(clone.count)
-    suffix = np.full(clone.count, -1, dtype=ids)
+    above[0, clone.letters[0]] = np.arange(len(clone.rows))
+    suffix = np.full(len(clone.rows), -1, dtype=ids)
     step = max(1, BLOCK_BYTES // layout.width)
     level = 0
-    while level < clone.count:
-        level_end = clone.count
+    while level < len(clone.rows):
+        level_end = len(clone.rows)
         children = np.full((level_end - level, arity), -1, dtype=ids)
         pairs = np.flatnonzero(above[suffix - above_start] >= 0)
         next_suffix = np.empty(len(pairs), dtype=ids)
         for block in range(0, len(pairs), step):
             rows, letters = np.divmod(pairs[block : block + step], arity)
             rows += level
-            start = clone.count
+            start = len(clone.rows)
             clone.add(_right_products(clone.rows[rows], letters, codes), rows, letters)
+            stop = len(clone.rows)
             parent, letter = clone.parents[-1] - level, clone.letters[-1]
-            children[parent, letter] = np.arange(start, clone.count)
-            next_suffix[start - level_end : clone.count - level_end] = above[suffix[parent] - above_start, letter]
+            children[parent, letter] = np.arange(start, stop)
+            next_suffix[start - level_end : stop - level_end] = above[suffix[parent] - above_start, letter]
         above, above_start = children, level
-        suffix = next_suffix[: clone.count - level_end]
+        suffix = next_suffix[: len(clone.rows) - level_end]
         level = level_end
     return clone.functions(layout)

@@ -4,7 +4,6 @@ import io
 import numpy as np
 import pytest
 
-import eqdomain.geometry
 import eqdomain.terms
 from eqdomain import enumerate_tables
 from eqdomain.cli import main
@@ -47,4 +46,3 @@ def constant_hash(monkeypatch):
         return np.zeros(len(rows), dtype=np.uint64)
 
     monkeypatch.setattr(eqdomain.terms, "_row_hashes", zeros)
-    monkeypatch.setattr(eqdomain.geometry, "_row_hashes", zeros)

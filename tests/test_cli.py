@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import eqdomain.cli as cli
 import eqdomain.enumeration as enumeration
-from eqdomain import DEFAULT_BUDGET, check_semigroup, enumerate_tables, format_table
+from eqdomain import DEFAULT_BUDGET, CorpusWarning, check_semigroup, enumerate_tables, format_table
 from eqdomain.cli import main
 from eqdomain.enumeration import split_search
 from support import A2, CHAIN3, LEFT_ZERO, MIN2, NULL2, RECT_BAND_2X2, RIGHT_ZERO, Z2
@@ -125,6 +125,22 @@ class TestCheck:
         assert code == 0
         lines = [json.loads(line) for line in out.splitlines()]
         assert [doc["lemma"] for doc in lines] == ["1.1", "3"]
+
+    @pytest.mark.parametrize("where, line", [("entry", 7), ("order", 5)])
+    def test_overlong_number_is_a_bad_table(self, capsys, tmp_path, where, line):
+        # int() refuses more than 4,300 digits; the table holding such a
+        # number is skipped with a warning, or fails --strict, by its line
+        big = "9" * 5000
+        middle = f"2\n0 0\n0 {big}\n" if where == "entry" else f"{big}\n0 0\n0 1\n"
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"2\n0 0\n0 1\n\n{middle}\n2\n0 1\n1 0\n")
+        with pytest.warns(CorpusWarning) as caught:
+            code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and len(out.splitlines()) == 2
+        assert [str(w.message).split(":")[0] for w in caught] == [f"line {line}"]
+        code, out, err = run(capsys, "check", str(path), "--strict")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: expected ")
 
     def test_error_is_a_record(self, capsys, table_file, monkeypatch):
         monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
@@ -832,6 +848,11 @@ print(json.dumps([found, sorted(m for m in sys.modules if m.startswith("eqdomain
 """
 
 
+# The same for a name with one leading underscore, as IPython looks up
+# ``_repr_html_`` when it displays an object
+HASATTR_PRIVATE = HASATTR_DUNDER.replace("__wrapped__", "_repr_html_")
+
+
 # Makes enumerate raise an error that main maps to no exit code, and
 # prints what reaches the caller
 UNMAPPED_IN_ENUMERATE = """
@@ -913,6 +934,9 @@ class TestExportResolver:
 
     def test_a_dunder_lookup_loads_no_module(self):
         assert run_python(HASATTR_DUNDER) == [False, []]
+
+    def test_a_private_lookup_loads_no_module(self):
+        assert run_python(HASATTR_PRIVATE) == [False, []]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-import eqdomain.geometry
+import eqdomain.terms
 from eqdomain import (
     BudgetExceeded,
     Equation,
@@ -12,6 +12,7 @@ from eqdomain import (
     Semigroup,
     System,
     Term,
+    TermFunctions,
     all_points,
     algebraic_closure,
     enumerate_tables,
@@ -316,6 +317,21 @@ def pair_listing(pairs):
     return [(f.values, f.witness.word, g.values, g.witness.word) for f, g in pairs]
 
 
+def patch_grouping(monkeypatch, **names):
+    """Set ``names`` in ``eqdomain.terms`` only while a clone is grouped by
+    :meth:`TermFunctions.agreement`, so the clone is built with the real
+    ones first."""
+    agreement = TermFunctions.agreement
+
+    def patched(funcs):
+        with monkeypatch.context() as m:
+            for name, value in names.items():
+                m.setattr(eqdomain.terms, name, value)
+            return agreement(funcs)
+
+    monkeypatch.setattr(TermFunctions, "agreement", patched)
+
+
 class TestClosureGrouping:
     """The numpy grouping against grouping by the bytes of each restriction."""
 
@@ -358,15 +374,18 @@ class TestClosureGrouping:
     def test_shared_hashes_change_nothing(self, monkeypatch, semigroups_le3, block_bytes):
         # Only the 2 low bits of each restriction's hash are kept, so many
         # different restrictions share a hash; with small blocks they do so
-        # across the blocks of the hashing and of the fold too.  geometry
-        # binds BLOCK_BYTES at import, so it is patched there.
-        row_hashes = eqdomain.geometry._row_hashes
-        monkeypatch.setattr(eqdomain.geometry, "_row_hashes", lambda rows: row_hashes(rows) & np.uint64(3))
-        if block_bytes:
-            monkeypatch.setattr(eqdomain.geometry, "BLOCK_BYTES", block_bytes)
+        # across the blocks of the hashing and of the fold too.  The clone
+        # is built with the real hash and blocks first, so the regroups
+        # counted are the grouping's own.
+        row_hashes = eqdomain.terms._row_hashes
         regrouped = []
-        regroup = eqdomain.geometry._regroup
-        monkeypatch.setattr(eqdomain.geometry, "_regroup", lambda *args: regrouped.append(regroup(*args)))
+        regroup = eqdomain.terms._regroup
+        patch_grouping(
+            monkeypatch,
+            _row_hashes=lambda rows: row_hashes(rows) & np.uint64(3),
+            _regroup=lambda *args: regrouped.append(regroup(*args)),
+            BLOCK_BYTES=block_bytes or eqdomain.terms.BLOCK_BYTES,
+        )
         rng = random.Random(31)
         for _ in range(30):
             S = rng.choice(semigroups_le3)
@@ -377,6 +396,31 @@ class TestClosureGrouping:
         self.check(A2, Y)
         self.check(A2, PointSet.empty(5, 3))
         assert regrouped
+
+    @pytest.mark.parametrize("kept_bits", [0, 3], ids=["constant", "low2"])
+    def test_agreement_matches_oracle_grouping(self, monkeypatch, semigroups_le3, kept_bits):
+        # the grouping method alone, on clones built and grouped under a
+        # hash with only the kept bits left
+        row_hashes = eqdomain.terms._row_hashes
+        keep = np.uint64(kept_bits)
+        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) & keep)
+        rng = random.Random(53)
+        cases = [(A2, union_target_m3(A2)), (A2, PointSet.empty(5, 2))]
+        for _ in range(30):
+            S = rng.choice(semigroups_le3)
+            cases.append((S, random_point_set(rng, S.order, rng.randint(1, 3))))
+        for S, Y in cases:
+            funcs = term_functions(S, Y.k, first=Y._bool_array().nonzero()[0])
+            rep, members, differ = funcs.agreement()
+            pairs, mask = grouped_closure(S, Y)
+            number = {word: i for i, word in enumerate(funcs.words())}
+            expected = np.arange(len(funcs))
+            for f, g in pairs:
+                expected[number[g.witness.word]] = number[f.witness.word]
+            assert rep.tolist() == expected.tolist()
+            assert members.tolist() == sorted(number[g.witness.word] for _, g in pairs)
+            assert differ.dtype == bool and differ.shape == (S.order**Y.k,)
+            assert PointSet._from_bool(~differ, Y.n, Y.k).mask == mask
 
     def test_pairs_index_like_a_tuple(self):
         pairs = algebraic_closure(A2, union_target_m3(A2)).agreeing_pairs
@@ -423,13 +467,18 @@ class TestGeneratingPairs:
         # Only the kept bits of each restriction's hash are left, so
         # different restrictions share a hash and the generating pairs'
         # leading words must be confirmed; a regroup changes which members
-        # are generating, so some closures regroup more than once.
-        row_hashes = eqdomain.geometry._row_hashes
+        # are generating, so some closures regroup more than once.  The
+        # clone is built with the real hash first, so the passes counted
+        # are the grouping's own.
+        row_hashes = eqdomain.terms._row_hashes
         keep = np.uint64(kept_bits)
-        monkeypatch.setattr(eqdomain.geometry, "_row_hashes", lambda rows: row_hashes(rows) & keep)
         passes = []
-        regroup = eqdomain.geometry._regroup
-        monkeypatch.setattr(eqdomain.geometry, "_regroup", lambda *args: passes.append(regroup(*args)))
+        regroup = eqdomain.terms._regroup
+        patch_grouping(
+            monkeypatch,
+            _row_hashes=lambda rows: row_hashes(rows) & keep,
+            _regroup=lambda *args: passes.append(regroup(*args)),
+        )
         counts = []
         for n in (2, 3, 4):
             for S in classes_le4[n]:

@@ -116,6 +116,15 @@ class TestParser:
         with pytest.raises(TermSyntaxError):
             parse_equations("# nothing here\n", 2)
 
+    def test_parse_equations_reports_overlong_numbers(self):
+        # int() refuses more than 4,300 digits: such a variable number is
+        # out of range, and such an exponent too large
+        big = "9" * 5000
+        with pytest.raises(TermSyntaxError, match=r"^line 2: variable x9+ is outside x1\.\.x2 \(at position 0\)$"):
+            parse_equations(f"x1 = x1\nx{big} = x1\n", 2)
+        with pytest.raises(TermSyntaxError, match=r"^line 2: exponent exceeds 64 \(at position 3\)$"):
+            parse_equations(f"x1 = x1\nx1^{big} = x1\n", 2)
+
     @given(words)
     def test_round_trip(self, word):
         t = Term(word, 3)
