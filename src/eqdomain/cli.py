@@ -8,7 +8,8 @@ The commands raise their errors, and :func:`main` alone maps them to exit
 codes.
 
 ``check`` and ``verify-theorem`` run the same shard tasks: ``check`` cuts
-its corpus into slices, ``verify-theorem`` each order's search.  Worker
+its corpus into slices, ``verify-theorem`` each order's raw stream (held
+whole up to order 5) into slices, or else its search into shards.  Worker
 processes check the shards, or, at one job, this process reads them one
 table at a time, and each line is printed as soon as its shard's turn comes.
 """
@@ -22,12 +23,16 @@ import sys
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 from .enumeration import (
+    HELD_RAW_ORDER,
     SOFT_ORDER_LIMIT,
     CorpusError,
     enumerate_tables,
+    flat_semigroups,
     format_table,
+    raw_stream,
     read_corpus,
     split_search,
 )
@@ -90,8 +95,12 @@ def _check_order(flag: str, order: int, allow_large: bool):
         )
 
 
+# one encoder for every line: json.dumps with options builds a new one per call
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _LINE_ENCODER.encode(obj)
 
 
 def _json_doc(obj) -> str:
@@ -304,19 +313,43 @@ def cmd_check(ns) -> int:
 # --- verify-theorem ---------------------------------------------------------
 
 
+class _TableSlice(NamedTuple):
+    """The tables of a verify-theorem slice: the flat raw tables of one
+    order, numbered from ``first`` in that order's stream, as bytes, which
+    pickle far smaller than the rows they are read into."""
+
+    order: int
+    first: int
+    tables: list[bytes]
+
+    def __call__(self):
+        return flat_semigroups(self.order, self.tables)
+
+
 def _theorem_shards(ns):
-    """The pool tasks of verify-theorem: each order's search, in shards,
-    or whole at one job, which has no use for the cut pass of split_search."""
+    """The pool tasks of verify-theorem, order by order.  At one job each
+    order is one task, which has no use for the cut pass of split_search.
+    The raw stream up to HELD_RAW_ORDER is cut into slices, as check cuts
+    its corpus; any other stream into the shards of split_search."""
     mode = _CLI_MODES[ns.mode]
     render = _json_line if ns.format == "json" else None
     pieces = 1 if ns.jobs == 1 else SHARDS_PER_JOB * ns.jobs
     for order in range(2, ns.max_order + 1):
-        starts = split_search(order, mode, pieces)
-        for start, stop in zip(starts, starts[1:] + [None]):
-            yield partial(enumerate_tables, order, mode, True, start, stop), ns.budget, render
+        if pieces > 1 and mode == "raw" and order <= HELD_RAW_ORDER:
+            tables = raw_stream(order)
+            size = -(-len(tables) // pieces)
+            for i in range(0, len(tables), size):
+                yield _TableSlice(order, i + 1, tables[i : i + size]), ns.budget, render
+        else:
+            starts = split_search(order, mode, pieces)
+            for start, stop in zip(starts, starts[1:] + [None]):
+                yield partial(enumerate_tables, order, mode, True, start, stop), ns.budget, render
 
 
 def _describe_shard(index, task):
+    if isinstance(task[0], _TableSlice):
+        order, first, tables = task[0]
+        return f"the order-{order} tables {first:,} to {first + len(tables) - 1:,}"
     order, _, _, start, stop = task[0].args
     end = "the end" if stop is None else f"node {list(stop)}"
     return f"the order-{order} search from node {list(start)} to {end}"

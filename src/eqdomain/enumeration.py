@@ -15,6 +15,14 @@ both are known, and drops the subtree as soon as a candidate is smaller
 there.  Known cells are fixed in every completion, so no canonical table
 is lost, and the test is exact on a full table, so no filter follows.
 
+Up to order 5 the raw stream is not searched: it is every relabeling of
+every class of the ``up_to_iso_and_anti`` search and of its transpose,
+each table held as the ``bytes`` of its flat table, and sorted (``bytes``
+order is the lexicographic order of the flat table).  At order 5 that is
+183,732 tables, about 11 MB.  Above order 5, and for a shard of a split
+search, the raw search runs; it stays the oracle that the expansion
+misses no class.
+
 Canonical forms at these orders are found by direct minimization over
 all relabelings (and optionally the transpose), at most 2 * n!
 candidates.  :func:`is_canonical` tests a single table without building
@@ -25,7 +33,8 @@ from __future__ import annotations
 
 import warnings
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -52,6 +61,8 @@ __all__ = [
 
 MODES = ("raw", "up_to_iso", "up_to_iso_and_anti")
 SOFT_ORDER_LIMIT = 5  # table counts explode beyond this
+# the raw stream is held whole up to this order: order 6 has 17,061,118 tables
+HELD_RAW_ORDER = 5
 
 
 class CanonicalForm(NamedTuple):
@@ -348,6 +359,37 @@ def split_search(order: int, mode: str, pieces: int) -> list[tuple[int, ...]]:
     return [()] + [nodes[i * len(nodes) // count] for i in range(1, count)]
 
 
+def raw_stream(order: int) -> list[bytes]:
+    """The raw tables of an order up to :data:`HELD_RAW_ORDER`, each as the
+    ``bytes`` of its flat table, in the order of the raw search.
+
+    Every relabeling of each ``up_to_iso_and_anti`` class and of its
+    transpose, read through the ``(src, lab)`` pairs that the search tests,
+    and sorted.
+    """
+    # at order 1 the one relabeling is the identity (and itemgetter of one
+    # index returns no tuple)
+    views = _relabelings(order, "up_to_iso_and_anti") if order > 1 else ()
+    relabelings = [(itemgetter(*src), bytes(lab).ljust(256, b"\0")) for src, lab, _ in views]
+    tables = set()
+    for table in _assoc_tables(order, "up_to_iso_and_anti"):
+        flat = bytes(chain.from_iterable(table))
+        tables.add(flat)
+        for pick, lab in relabelings:
+            tables.add(bytes(pick(flat)).translate(lab))
+    return sorted(tables)
+
+
+def flat_semigroups(order: int, tables) -> Iterator[Semigroup]:
+    """The semigroups of flat tables of the given order, as from :func:`raw_stream`."""
+    for flat in tables:
+        yield _trusted(tuple(zip(*[iter(flat)] * order)))
+
+
+def _held_raw_semigroups(order: int) -> Iterator[Semigroup]:
+    yield from flat_semigroups(order, raw_stream(order))  # built on the first next
+
+
 def enumerate_tables(
     order: int,
     mode: str = "raw",
@@ -372,6 +414,8 @@ def enumerate_tables(
             f"order {order} exceeds the soft limit {SOFT_ORDER_LIMIT}; pass allow_large to proceed"
         )
 
+    if mode == "raw" and order <= HELD_RAW_ORDER and start == () and stop is None:
+        return _held_raw_semigroups(order)
     return map(_trusted, _assoc_tables(order, mode, start, stop))
 
 
@@ -401,6 +445,14 @@ def _blocks(text: str):
         yield block
 
 
+_QUOTE_WIDTH = 60  # a bad line is quoted up to this many characters
+
+
+def _quote(line: str) -> str:
+    line = line.strip()
+    return repr(line) if len(line) <= _QUOTE_WIDTH else repr(line[:_QUOTE_WIDTH]) + "..."
+
+
 def _parse_block(block, table_index: int):
     def error(line, message):
         return CorpusError(f"line {line}: {message}", line=line, table_index=table_index)
@@ -412,7 +464,7 @@ def _parse_block(block, table_index: int):
             raise ValueError
         n = int(parts[0])  # a ValueError too for more digits than int() converts
     except ValueError:
-        raise error(lineno, f"expected the table order on its own line, found {header.strip()!r}") from None
+        raise error(lineno, f"expected the table order on its own line, found {_quote(header)}") from None
     if len(block) - 1 != n:
         raise error(lineno, f"table of order {n} needs {n} rows, found {len(block) - 1}")
     rows = []
@@ -423,7 +475,7 @@ def _parse_block(block, table_index: int):
                 raise ValueError
             rows.append([int(e) for e in entries])
         except ValueError:
-            raise error(row_line, f"expected {n} integers, found {raw.strip()!r}") from None
+            raise error(row_line, f"expected {n} integers, found {_quote(raw)}") from None
     return lineno, rows
 
 

@@ -138,9 +138,12 @@ class TestCheck:
             code, out, _ = run(capsys, "check", str(path))
         assert code == 0 and len(out.splitlines()) == 2
         assert [str(w.message).split(":")[0] for w in caught] == [f"line {line}"]
+        # the line is quoted up to a fixed width, not whole
+        assert len(str(caught[0].message)) < 150 and str(caught[0].message).endswith("...")
         code, out, err = run(capsys, "check", str(path), "--strict")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {line}: expected ")
+        assert len(err) < 150 and err.endswith("...\n")
 
     def test_error_is_a_record(self, capsys, table_file, monkeypatch):
         monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
@@ -254,9 +257,10 @@ class TestVerifyTheorem:
         assert "--allow-large" in err
 
     def test_jobs_do_not_change_output(self, capsys):
-        _, out1, _ = run(capsys, "verify-theorem", "--max-order", "2", "--jobs", "1")
-        _, out2, _ = run(capsys, "verify-theorem", "--max-order", "2", "--jobs", "3")
-        assert out1 == out2
+        for max_order, jobs in (("2", "3"), ("4", "2")):
+            _, out1, _ = run(capsys, "verify-theorem", "--max-order", max_order, "--mode", "raw", "--jobs", "1")
+            _, outn, _ = run(capsys, "verify-theorem", "--max-order", max_order, "--mode", "raw", "--jobs", jobs)
+            assert out1 == outn
 
     def test_jobs_1_writes_each_table_as_it_is_checked(self, monkeypatch):
         # one job reads its shards in this process, a table at a time: the
@@ -323,8 +327,13 @@ class TestVerifyTheorem:
         tables = [r["table"] for r in records if r["order"] == 6]
         assert tables == sorted(tables)
 
-    @pytest.mark.parametrize("command", ["verify-theorem", "check"])
-    def test_dead_worker_is_reported(self, capsys, command, tmp_path):
+    @pytest.mark.parametrize(
+        "command, lost",
+        # both cut order 4's 3,492 tables into slices of 55
+        [("verify-theorem", "the order-4 tables 1,981 to 2,035"), ("check", "tables 1981 to 2035")],
+        ids=["verify-theorem", "check"],
+    )
+    def test_dead_worker_is_reported(self, capsys, command, lost, tmp_path):
         # A worker that dies takes its task with it: the run names the lost
         # tables and ends with exit 3 instead of waiting for them forever.
         corpus = write_corpus(tmp_path / "order4.txt", enumerate_tables(4))
@@ -337,7 +346,7 @@ class TestVerifyTheorem:
             timeout=120,
         )
         assert proc.returncode == 3
-        assert "error: a worker process died; lost " in proc.stderr
+        assert f"error: a worker process died; lost {lost}\n" in proc.stderr
         assert "Traceback" not in proc.stderr
         # what is written comes before the lost table, and there is no summary
         assert len(proc.stdout.splitlines()) < 8 + 113 + 2000
@@ -357,12 +366,16 @@ class TestVerifyTheorem:
             return conn, thread
 
         monkeypatch.setattr(cli, "_start_worker", thread_worker)
-        _, out1, _ = run(capsys, "verify-theorem", "--max-order", "3", "--jobs", "1")
-        code, out64, _ = run(capsys, "verify-theorem", "--max-order", "3", "--jobs", "64")
-        assert code == 0
-        assert out64 == out1
-        shards = sum(len(split_search(n, "raw", cli.SHARDS_PER_JOB * 64)) for n in (2, 3))
-        assert len(started) == shards and 1 < shards < 64
+        search_shards = sum(len(split_search(n, "up_to_iso", cli.SHARDS_PER_JOB * 64)) for n in (2, 3, 4))
+        # order 2's eight raw tables are a slice each; iso mode splits each order's search
+        for max_order, mode, shards in (("2", "raw", 8), ("4", "iso", search_shards)):
+            started.clear()
+            argv = ("verify-theorem", "--max-order", max_order, "--mode", mode)
+            _, out1, _ = run(capsys, *argv, "--jobs", "1")
+            code, out64, _ = run(capsys, *argv, "--jobs", "64")
+            assert code == 0
+            assert out64 == out1
+            assert len(started) == shards and 1 < shards < 64
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_ordered_map_reads_its_tasks_lazily_in_order(self, jobs):

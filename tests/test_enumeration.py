@@ -27,19 +27,24 @@ REDUCED = ("up_to_iso", "up_to_iso_and_anti")
 
 @pytest.fixture(scope="module")
 def order5_raw():
-    """The raw order-5 stream, read once: its length, 2,000 seeded tables
-    from it, and its tables that pass ``is_canonical`` in each reduced mode."""
+    """The raw order-5 search, read once: its length, 2,000 seeded tables
+    from it, its tables that pass ``is_canonical`` in each reduced mode,
+    and whether ``enumerate_tables``, which expands the iso-anti classes,
+    yields the same tables in the same order."""
     picks = set(random.Random(5).sample(range(ORDER5_COUNTS["raw"]), 2000))
-    count, sample = 0, []
+    count, sample, same = 0, [], True
     canonical = {mode: [] for mode in REDUCED}
-    for i, S in enumerate(enumerate_tables(5)):
+    for table, S in zip_longest(_assoc_tables(5), enumerate_tables(5)):
+        same &= table is not None and S is not None and S.table == table
+        if table is None:
+            continue
+        if count in picks:
+            sample.append(table)
         count += 1
-        if i in picks:
-            sample.append(S.table)
         for mode in REDUCED:
-            if is_canonical(S.table, mode):
-                canonical[mode].append(S.table)
-    return count, sample, canonical
+            if is_canonical(table, mode):
+                canonical[mode].append(table)
+    return count, sample, canonical, same
 
 
 class TestEnumerate:
@@ -74,6 +79,9 @@ class TestEnumerate:
 
     def test_order5_raw_count(self, order5_raw):
         assert order5_raw[0] == ORDER5_COUNTS["raw"]
+
+    def test_order5_raw_stream_matches_the_search(self, order5_raw):
+        assert order5_raw[3]
 
     @pytest.mark.parametrize("mode", REDUCED)
     def test_order5_reduced_counts(self, mode):
