@@ -12,6 +12,12 @@ its corpus into slices, ``verify-theorem`` each order's raw stream (held
 whole up to order 5) into slices, or else its search into shards.  Worker
 processes check the shards, or, at one job, this process reads them one
 table at a time, and each line is printed as soon as its shard's turn comes.
+
+A report's JSON line is spliced from pieces that are each encoded once:
+the text around the table, once per report shape (everything in the
+report but its table), and each table row.  The line is byte for byte the
+encoding of the report's record.  ``enumerate``'s JSON lines use the same
+rows.
 """
 
 from __future__ import annotations
@@ -107,18 +113,82 @@ def _json_doc(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+class _RowText(dict):
+    """Each table row's JSON text, encoded on its first use."""
+
+    def __missing__(self, row):
+        text = self[row] = _LINE_ENCODER.encode(row)
+        return text
+
+
+# at most n^n rows per order: 3,045 among the order-5 tables
+_ROW_TEXT = _RowText()
+# (text before the table's rows, text after them) per report shape: 132
+# among the order-5 tables, bounded by the witnesses' choices
+_SHAPES: dict[tuple, tuple[str, str]] = {}
+
+
+def _halves(record: dict) -> tuple[str, str]:
+    """The JSON line of ``record``, whose ``table`` is None, cut where the
+    rows of a table go."""
+    halves = _json_line(record).split('"table":null')
+    assert len(halves) == 2, halves
+    return halves[0] + '"table":[', "]" + halves[1]
+
+
+def _rows_text(table) -> str:
+    return ",".join(map(_ROW_TEXT.__getitem__, table))
+
+
+def _report_line(result) -> str:
+    """The JSON line of a record: a failure record encoded whole, or a
+    report spliced from its shape's halves and its table's cached rows.
+
+    A report's shape is everything in its line but the table, so two
+    reports of one shape differ only in their rows.
+    """
+    if isinstance(result, dict):
+        return _json_line(result)
+    S = result.semigroup
+    shape = (
+        S.order,
+        result.classification.case,
+        result.lemma,
+        tuple(result.elements.items()),
+        result.target,
+        result.verified_identities,
+        result.inside_points,
+        result.outside_points,
+        result.separating_point,
+        result.is_equational_domain,
+    )
+    halves = _SHAPES.get(shape)
+    if halves is None:
+        halves = _SHAPES[shape] = _halves({**result.to_jsonable(), "table": None})
+    return halves[0] + _rows_text(S.table) + halves[1]
+
+
+def _record(result) -> dict:
+    """A report's JSON record, or the failure record itself."""
+    return result if isinstance(result, dict) else result.to_jsonable()
+
+
+def _report_doc(result) -> str:
+    return _json_doc(_record(result))
+
+
 # --- checking tables ---------------------------------------------------------
 
 
-def _check_table(S: Semigroup, budget: int) -> dict:
-    """The output record of one table: its report, or a failure record
-    with a ``status``.
+def _check_table(S: Semigroup, budget: int):
+    """The result of one table: its report, or a failure record (a dict
+    with a ``status``).
 
     An unexpected exception becomes an ``error`` record that names it and
     the line that raised it, so one failing table does not end the run.
     """
     try:
-        return check_semigroup(S, budget=budget).to_jsonable()
+        return check_semigroup(S, budget=budget)
     except BudgetExceeded as e:
         detail = {"status": "budget_exceeded", "size": e.size}
     except WitnessNotFound as e:
@@ -228,7 +298,8 @@ def _render_report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _render_result_text(result: dict) -> str:
+def _render_result_text(result) -> str:
+    result = _record(result)
     if "status" not in result:
         return _render_report_text(result)
     if result["status"] == "budget_exceeded":
@@ -242,11 +313,11 @@ def _render_result_text(result: dict) -> str:
 # --- the shard tasks of check and verify-theorem -----------------------------
 
 
-def _outcome(result: dict) -> tuple:
-    """What the summary counts of one record: (order, ok, lemma, failure)."""
-    if "status" not in result:  # a report
-        failed = result["is_equational_domain"] or result["separating_point"] is None
-        return result["order"], True, result["lemma"], "equational_domains" if failed else None
+def _outcome(result) -> tuple:
+    """What the summary counts of one result: (order, ok, lemma, failure)."""
+    if not isinstance(result, dict):  # a report
+        failed = result.is_equational_domain or result.separating_point is None
+        return result.semigroup.order, True, result.lemma, "equational_domains" if failed else None
     failure = "budget_exceeded" if result["status"] == "budget_exceeded" else "inconsistent"
     return result["order"], False, None, failure
 
@@ -296,7 +367,7 @@ def cmd_check(ns) -> int:
     if ns.format == "text":
         render = _render_result_text
     else:
-        render = _json_doc if len(semigroups) == 1 else _json_line
+        render = _report_doc if len(semigroups) == 1 else _report_line
     size = -(-len(semigroups) // (SHARDS_PER_JOB * ns.jobs))
     tasks = (
         (partial(iter, semigroups[i : i + size]), ns.budget, render)
@@ -332,7 +403,7 @@ def _theorem_shards(ns):
     The raw stream up to HELD_RAW_ORDER is cut into slices, as check cuts
     its corpus; any other stream into the shards of split_search."""
     mode = _CLI_MODES[ns.mode]
-    render = _json_line if ns.format == "json" else None
+    render = _report_line if ns.format == "json" else None
     pieces = 1 if ns.jobs == 1 else SHARDS_PER_JOB * ns.jobs
     for order in range(2, ns.max_order + 1):
         if pieces > 1 and mode == "raw" and order <= HELD_RAW_ORDER:
@@ -406,9 +477,10 @@ def cmd_enumerate(ns) -> int:
     _check_order("--order", ns.order, ns.allow_large)
     mode = _CLI_MODES[ns.mode]
     count = 0
+    head, tail = _halves({"order": ns.order, "table": None})
     for S in enumerate_tables(ns.order, mode, allow_large=ns.allow_large):
         if ns.format == "json":
-            print(_json_line({"order": S.order, "table": [list(r) for r in S.table]}))
+            print(head + _rows_text(S.table) + tail)
         else:
             # blocks are separated by a blank line
             print(("\n\n" if count else "") + format_table(S), end="")

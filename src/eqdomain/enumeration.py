@@ -38,7 +38,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .semigroups import Semigroup, TableError
+from .semigroups import _QUOTE_WIDTH, Semigroup, TableError
 
 # Bound once at import, so that rebinding ``Semigroup`` in this module (as
 # perfbench/tracer.py does) leaves the trusted path in place.
@@ -443,9 +443,6 @@ def _blocks(text: str):
             block = []
     if block:
         yield block
-
-
-_QUOTE_WIDTH = 60  # a bad line is quoted up to this many characters
 
 
 def _quote(line: str) -> str:

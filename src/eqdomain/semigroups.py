@@ -50,12 +50,19 @@ class TableError(ValueError):
     """The given entries do not form a valid Cayley table."""
 
 
+_QUOTE_WIDTH = 60  # a bad entry or corpus line is quoted up to this many characters
+
+
 class OutOfRangeEntry(TableError):
-    """A table entry is not an element index."""
+    """A table entry is not an element index.  The message cuts a long
+    entry at ``_QUOTE_WIDTH`` digits; ``value`` holds it whole."""
 
     def __init__(self, row: int, col: int, value: int, order: int):
+        text = str(value)
+        if len(text) > _QUOTE_WIDTH:
+            text = text[:_QUOTE_WIDTH] + "..."
         super().__init__(
-            f"table[{row}][{col}] = {value} is not an element index in 0..{order - 1}"
+            f"table[{row}][{col}] = {text} is not an element index in 0..{order - 1}"
         )
         self.row = row
         self.col = col

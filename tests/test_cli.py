@@ -9,6 +9,7 @@ import sys
 import threading
 import warnings
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import eqdomain.cli as cli
 import eqdomain.enumeration as enumeration
-from eqdomain import DEFAULT_BUDGET, CorpusWarning, check_semigroup, enumerate_tables, format_table
+from eqdomain import DEFAULT_BUDGET, BudgetExceeded, CorpusWarning, check_semigroup, enumerate_tables, format_table
 from eqdomain.cli import main
 from eqdomain.enumeration import split_search
 from support import A2, CHAIN3, LEFT_ZERO, MIN2, NULL2, RECT_BAND_2X2, RIGHT_ZERO, Z2
@@ -144,6 +145,22 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {line}: expected ")
         assert len(err) < 150 and err.endswith("...\n")
+
+    def test_long_out_of_range_entry_is_quoted_short(self, capsys, tmp_path):
+        # short enough for int(), so the table is read, but not an element:
+        # its Semigroup validation quotes the entry up to a fixed width
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"2\n0 0\n0 1\n\n2\n0 0\n0 {'9' * 4000}\n\n2\n0 1\n1 0\n")
+        with pytest.warns(CorpusWarning) as caught:
+            code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and len(out.splitlines()) == 2
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert message.startswith("table 1 (line 5): table[1][1] = 999") and len(message) < 150
+        assert message.endswith("9... is not an element index in 0..1")
+        code, out, err = run(capsys, "check", str(path), "--strict")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_error_is_a_record(self, capsys, table_file, monkeypatch):
         monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
@@ -385,7 +402,7 @@ class TestVerifyTheorem:
             nonlocal pulled
             for S in enumerate_tables(3):
                 pulled += 1
-                yield partial(iter, [S]), DEFAULT_BUDGET, cli._json_line
+                yield partial(iter, [S]), DEFAULT_BUDGET, cli._report_line
 
         results = cli._ordered_map(cli._check_shard, tasks(), jobs, lambda index, task: f"task {index}")
         first = list(next(results))
@@ -439,7 +456,58 @@ class TestFrozenStreams:
         assert hashlib.md5(out.encode()).hexdigest() == FROZEN_CLOSURE
 
 
+class TestReportLines:
+    def test_spliced_lines_equal_the_encoded_records(self, monkeypatch):
+        # empty caches, so that every shape and row is first met here
+        monkeypatch.setattr(cli, "_SHAPES", {})
+        monkeypatch.setattr(cli, "_ROW_TEXT", cli._RowText())
+        orders = [enumerate_tables(n) for n in range(1, 5)]
+        for S in chain(*orders, enumerate_tables(5, "up_to_iso_and_anti")):
+            report = check_semigroup(S)
+            assert cli._report_line(report) == cli._json_line(report.to_jsonable())
+        # far fewer shapes than tables: 70 among the 3,492 of order 4
+        assert len(cli._SHAPES) < 3_613 // 10
+
+    def test_failure_records_render_as_before(self, monkeypatch):
+        WitnessNotFound = cli.WitnessNotFound
+        for error, line, text in [
+            (
+                BudgetExceeded(7),
+                '{"order":2,"size":7,"status":"budget_exceeded","table":[[0,0],[0,1]]}',
+                "closure budget exceeded at size 7",
+            ),
+            (
+                WitnessNotFound("no pair"),
+                '{"error":"no pair","order":2,"status":"inconsistent","table":[[0,0],[0,1]]}',
+                "INCONSISTENT: no pair",
+            ),
+        ]:
+
+            def check(S, budget, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "check_semigroup", check)
+            record = cli._check_table(MIN2, DEFAULT_BUDGET)
+            assert cli._report_line(record) == cli._json_line(record) == line
+            assert cli._render_result_text(record) == f"order 2  table [[0, 0], [0, 1]]\n  {text}"
+        monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
+        record = cli._check_table(MIN2, DEFAULT_BUDGET)
+        line = cli._report_line(record)
+        assert line == cli._json_line(record)
+        assert line.startswith('{"error":"RuntimeError: injected failure (test_cli.py:')
+        assert line.endswith(' in patched)","order":2,"status":"error","table":[[0,0],[0,1]]}')
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("mode", ["raw", "iso", "iso-anti"])
+    def test_json_lines_equal_the_encoded_records(self, capsys, mode):
+        # order 1 has the one-entry row
+        for order in range(1, 5):
+            code, out, _ = run(capsys, "enumerate", "--order", str(order), "--mode", mode)
+            tables = enumerate_tables(order, cli._CLI_MODES[mode])
+            expected = [cli._json_line({"order": order, "table": [list(r) for r in S.table]}) for S in tables]
+            assert code == 0 and out.splitlines() == expected
+
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--order", "2")
         assert code == 0

@@ -34,6 +34,13 @@ class TestValidation:
             Semigroup([[0, 1], [1, 2]])
         assert (exc.value.row, exc.value.col, exc.value.value) == (1, 1, 2)
 
+    def test_long_entry_is_cut_in_the_message_only(self):
+        big = 10**4000 - 1
+        with pytest.raises(OutOfRangeEntry) as exc:
+            Semigroup([[0, 0], [0, big]])
+        assert exc.value.value == big
+        assert str(exc.value) == f"table[1][1] = {'9' * 60}... is not an element index in 0..1"
+
     def test_negative_entry(self):
         with pytest.raises(OutOfRangeEntry):
             Semigroup([[0, -1], [0, 0]])
