@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -206,21 +206,28 @@ class WorkerLost(RuntimeError):
     """A worker process died before it returned a task's result."""
 
 
-def _serve(fn, conn):
+def _serve(fn, conn, cpu):
     """Worker process: answer each task that comes on ``conn``, until ``None``.
 
-    The answer is ``list(fn(task))``, so ``fn`` may return a generator.
+    The answer is ``list(fn(task))``, so ``fn`` may return a generator.  The
+    worker first pins itself to ``cpu``, unless that is None.
     """
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:  # the CPU went away since the parent read its set
+            pass
     while (task := conn.recv()) is not None:
         conn.send(list(fn(task)))
 
 
-def _start_worker(fn):
-    """A worker process serving ``fn``: the pipe to it, and the process."""
+def _start_worker(fn, cpu):
+    """A worker process serving ``fn``, pinned to ``cpu`` unless that is
+    None: the pipe to it, and the process."""
     import multiprocessing
 
     conn, child = multiprocessing.Pipe()
-    process = multiprocessing.Process(target=_serve, args=(fn, child), daemon=True)
+    process = multiprocessing.Process(target=_serve, args=(fn, child, cpu), daemon=True)
     process.start()
     child.close()  # the worker holds the only other end: its death is EOF here
     return conn, process
@@ -239,6 +246,12 @@ def _ordered_map(fn, tasks, jobs: int, describe):
     yielded as it is, so a generator is read only as its reader asks.  If
     a worker dies, the task it held, named by ``describe(index, task)``, is
     reported by raising :class:`WorkerLost`.
+
+    Worker i is pinned to the i-th CPU of this process's set, wrapping
+    around, and this process's own set is left as it is.  Short-lived
+    forked workers otherwise tend to run on their parent's CPU while
+    another stays idle.  Nothing is pinned where this process may use only
+    one CPU or the platform cannot pin.
     """
     tasks = iter(tasks)
     head = list(islice(tasks, jobs))
@@ -247,7 +260,10 @@ def _ordered_map(fn, tasks, jobs: int, describe):
         return
     from multiprocessing.connection import wait
 
-    workers = dict(_start_worker(fn) for _ in head)  # pipe -> process
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    if len(cpus) < 2:
+        cpus = [None]
+    workers = dict(_start_worker(fn, cpu) for _, cpu in zip(head, cycle(cpus)))  # pipe -> process
     numbered = enumerate(chain(head, tasks))
     idle, busy, done = list(workers), {}, {}  # busy: pipe -> (index, task)
     ahead, yielded = SHARDS_AHEAD_PER_JOB * jobs, 0

@@ -221,8 +221,9 @@ def is_idempotent(S: Semigroup) -> bool:
 
 
 def satisfies_x2_x3(S: Semigroup) -> bool:
-    """The identity x^2 = x^3 holds."""
-    return all(S.power(a, 2) == S.power(a, 3) for a in range(S.order))
+    """The identity x^2 = x^3 holds: each square s = aa has sa = s."""
+    t = S.table
+    return all(t[t[a][a]][a] == t[a][a] for a in range(S.order))
 
 
 def is_nowhere_commutative(S: Semigroup) -> bool:
@@ -271,14 +272,16 @@ def classify(S: Semigroup) -> Classification:
     if n == 1:
         return Classification(Case.TRIVIAL)
     t = S.table
-    if is_idempotent(S):
+    squares = [t[a][a] for a in range(n)]
+    if squares == list(range(n)):
         for a in range(n):
             for b in range(n):
                 if a != b and t[a][b] == t[b][a]:
                     return Classification(Case.IDEMPOTENT_COMMUTING_PAIR, pair=(a, b))
         return Classification(Case.IDEMPOTENT_NOWHERE_COMMUTATIVE)
-    if satisfies_x2_x3(S):
-        a = next(x for x in range(n) if t[x][x] != x)
-        return Classification(Case.BOUNDED_NON_IDEMPOTENT, element=a)
-    a = next(x for x in range(n) if S.power(x, 2) != S.power(x, 3))
-    return Classification(Case.UNBOUNDED, element=a)
+    # a^3 = (a^2)a, so a^2 != a^3 exactly where t[s][a] != s for s = a^2
+    for a, s in enumerate(squares):
+        if t[s][a] != s:
+            return Classification(Case.UNBOUNDED, element=a)
+    a = next(a for a, s in enumerate(squares) if s != a)
+    return Classification(Case.BOUNDED_NON_IDEMPOTENT, element=a)

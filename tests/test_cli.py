@@ -374,11 +374,11 @@ class TestVerifyTheorem:
     def test_no_more_workers_than_shards(self, capsys, monkeypatch):
         started = []
 
-        def thread_worker(fn):
+        def thread_worker(fn, cpu):
             """A worker as cli._start_worker makes one, but a thread of this process."""
             started.append(fn)
             conn, child = multiprocessing.Pipe()
-            thread = threading.Thread(target=cli._serve, args=(fn, child), daemon=True)
+            thread = threading.Thread(target=cli._serve, args=(fn, child, cpu), daemon=True)
             thread.start()
             return conn, thread
 
@@ -412,6 +412,39 @@ class TestVerifyTheorem:
         assert pulled == 113
         reports = [json.loads(line) for shard in shards for line, _ in shard]
         assert reports == [check_semigroup(S, budget=DEFAULT_BUDGET).to_jsonable() for S in enumerate_tables(3)]
+
+
+def affinity(task):
+    """A pool task: the set of CPUs the worker that runs it may use."""
+    return [os.sched_getaffinity(0)]
+
+
+def own_cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(len(own_cpus()) < 2, reason="needs sched_getaffinity and at least two CPUs")
+class TestWorkerPinning:
+    def test_two_workers_run_on_two_cpus(self):
+        cpus = own_cpus()
+        results = list(cli._ordered_map(affinity, range(2), 2, lambda index, task: f"task {index}"))
+        sets = [result[0] for result in results]
+        assert all(len(s) == 1 and s <= cpus for s in sets)
+        assert sets[0] != sets[1]
+        assert own_cpus() == cpus
+
+    def test_workers_wrap_around_the_cpus(self, capsys):
+        cpus = own_cpus()
+        jobs = len(cpus) + 1
+        results = list(cli._ordered_map(affinity, range(jobs), jobs, lambda index, task: f"task {index}"))
+        assert all(len(result[0]) == 1 for result in results)
+        assert sorted(cpu for result in results for cpu in result[0]) == sorted([*cpus, min(cpus)])
+        argv = ("verify-theorem", "--max-order", "4", "--mode", "raw")
+        _, out1, _ = run(capsys, *argv, "--jobs", "1")
+        code, outn, _ = run(capsys, *argv, "--jobs", str(jobs))
+        assert code == 0
+        assert outn == out1
+        assert own_cpus() == cpus
 
 
 # md5 of whole report streams, frozen from the output of the separate lemma
@@ -816,10 +849,10 @@ BOUND_BEFORE_FORK = """
 import contextlib, io, json, sys
 import eqdomain.cli as cli
 start, bound = cli._start_worker, []
-def recording(fn):
+def recording(fn, cpu):
     names = ("check_semigroup", "BudgetExceeded", "WitnessNotFound")
     bound.append(all(n in vars(cli) for n in names) and "eqdomain.witnesses" in sys.modules)
-    return start(fn)
+    return start(fn, cpu)
 cli._start_worker = recording
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):

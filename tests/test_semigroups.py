@@ -179,6 +179,11 @@ class TestPredicates:
             assert is_nowhere_commutative(S) == is_rectangular_band(S)
 
 
+def bounded_by_powers(S):
+    """x^2 = x^3, read off ``Semigroup.power``."""
+    return all(S.power(a, 2) == S.power(a, 3) for a in range(S.order))
+
+
 class TestClassify:
     def test_examples(self):
         assert classify(Semigroup([[0]])).case is Case.TRIVIAL
@@ -191,15 +196,21 @@ class TestClassify:
         c = classify(Z2)
         assert c.case is Case.UNBOUNDED and c.element == 1
 
-    def test_exactly_one_case_with_valid_witness(self, semigroups_le3):
-        for S in semigroups_le3:
+    def test_x2_x3_matches_the_powers(self, semigroups_le3, semigroups_order4):
+        for S in semigroups_le3 + semigroups_order4:
+            assert satisfies_x2_x3(S) == bounded_by_powers(S)
+
+    def test_exactly_one_case_with_valid_witness(self, semigroups_le3, semigroups_order4):
+        # every raw table of orders 1-4, against the powers, not satisfies_x2_x3
+        for S in semigroups_le3 + semigroups_order4:
             c = classify(S)
+            bounded = bounded_by_powers(S)
             tags = [
                 S.order == 1,
                 S.order > 1 and is_idempotent(S) and is_nowhere_commutative(S),
                 S.order > 1 and is_idempotent(S) and not is_nowhere_commutative(S),
-                S.order > 1 and not is_idempotent(S) and satisfies_x2_x3(S),
-                S.order > 1 and not satisfies_x2_x3(S),
+                S.order > 1 and not is_idempotent(S) and bounded,
+                S.order > 1 and not bounded,
             ]
             assert sum(tags) == 1
             assert tags[
