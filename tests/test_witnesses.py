@@ -10,6 +10,7 @@ from eqdomain import (
     check_semigroup,
     classify,
     element_profile,
+    enumerate_tables,
     in_pair_closure,
     monogenic_table,
     union_target_m3,
@@ -193,6 +194,8 @@ class TestPairCertificate:
             assert check_semigroup(S) == r
 
     def test_rejected_probe_is_an_inconsistency(self, monkeypatch):
+        # on an empty memo, so that Z2's shape is certified afresh
+        monkeypatch.setattr(witnesses, "_REPORTS", {})
         monkeypatch.setattr(witnesses, "in_pair_closure", lambda *args, **kwargs: False)
         with pytest.raises(witnesses.WitnessNotFound):
             check_semigroup(Z2)
@@ -202,6 +205,73 @@ class TestPairCertificate:
         assert witness_lemma3(Z2, cls) == witness_lemma3(Z2)
         with pytest.raises(ValueError):
             witness_lemma2(Z2, cls)
+
+
+def uncached_report(S):
+    """The builder's report of a nontrivial S, checked as check_semigroup
+    checks it on an empty memo, and its certificate's triple count."""
+    cls = classify(S)
+    r = witnesses._BUILDERS[cls.case](S, cls)
+    assert identities_hold(r), S.table
+    member = in_m3 if r.target == "m3" else in_m4
+    assert all(member(p) for p in r.inside_points), S.table
+    assert not any(member(p) for p in r.outside_points), S.table
+    triples = []
+    assert in_pair_closure(S, *r.inside_points, r.separating_point, triples=triples), S.table
+    return r, len(triples)
+
+
+class TestShapeMemo:
+    def test_warm_memo_equals_the_uncached_path(self, semigroups_le3, semigroups_order4):
+        tables = [
+            S
+            for S in semigroups_le3 + semigroups_order4 + list(enumerate_tables(5, "up_to_iso_and_anti"))
+            if S.order > 1
+        ]
+        for S in tables:
+            check_semigroup(S)
+        for S in tables:
+            got = check_semigroup(S)
+            want, size = uncached_report(S)
+            assert got.semigroup is S
+            for field in witnesses.WitnessReport._fields:
+                assert getattr(got, field) == getattr(want, field), (field, S.table)
+            assert got.to_jsonable() == want.to_jsonable()
+            # the key's stored report and triple count are this table's own
+            fields, stored_size = witnesses._REPORTS[witnesses._shape_key(S, classify(S))]
+            assert fields == want[1:] and stored_size == size, S.table
+
+    def test_budget_trips_as_on_an_empty_memo(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(witnesses, "_REPORTS", {})
+            with pytest.raises(BudgetExceeded) as cold:
+                check_semigroup(Z3, budget=2)
+            assert witnesses._REPORTS == {}
+        check_semigroup(Z3)
+        with pytest.raises(BudgetExceeded) as warm:
+            check_semigroup(Z3, budget=2)
+        assert warm.value.size == cold.value.size == 3
+        size = witnesses._REPORTS[witnesses._shape_key(Z3, classify(Z3))][1]
+        assert check_semigroup(Z3, budget=size).semigroup is Z3
+        with pytest.raises(BudgetExceeded):
+            check_semigroup(Z3, budget=size - 1)
+
+    def test_zero_budget_is_rejected_on_a_warm_memo(self):
+        check_semigroup(Z3)
+        with pytest.raises(ValueError):
+            check_semigroup(Z3, budget=0)
+
+    def test_failed_identity_leaves_no_entry(self, monkeypatch):
+        def false_identity(S, cls=None):
+            r = witness_lemma3(S, cls)
+            return r._replace(verified_identities=(*r.verified_identities, ("a = a", False)))
+
+        monkeypatch.setattr(witnesses, "_REPORTS", {})
+        monkeypatch.setitem(witnesses._BUILDERS, Case.UNBOUNDED, false_identity)
+        for _ in range(3):
+            with pytest.raises(witnesses.WitnessNotFound):
+                check_semigroup(Z2)
+        assert witnesses._REPORTS == {}
 
 
 class TestEq1Argument:
