@@ -14,10 +14,10 @@ processes check the shards, or, at one job, this process reads them one
 table at a time, and each line is printed as soon as its shard's turn comes.
 
 A report's JSON line is spliced from pieces that are each encoded once:
-the text around the table, once per report shape (everything in the
-report but its table), and each table row.  The line is byte for byte the
-encoding of the report's record.  ``enumerate``'s JSON lines use the same
-rows.
+the text around the table, once per report ``shape`` (the key the report
+was built from, which fixes everything in it but its table), and each
+table row.  The line is byte for byte the encoding of the report's
+record.  ``enumerate``'s JSON lines use the same rows.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class _RowText(dict):
 
 # at most n^n rows per order: 3,045 among the order-5 tables
 _ROW_TEXT = _RowText()
-# (text before the table's rows, text after them) per report shape: 132
-# among the order-5 tables, bounded by the witnesses' choices
+# (text before the table's rows, text after them) per report shape, the
+# witnesses' shape key: 433 among the order-5 tables
 _SHAPES: dict[tuple, tuple[str, str]] = {}
 
 
@@ -144,28 +144,15 @@ def _report_line(result) -> str:
     """The JSON line of a record: a failure record encoded whole, or a
     report spliced from its shape's halves and its table's cached rows.
 
-    A report's shape is everything in its line but the table, so two
-    reports of one shape differ only in their rows.
+    Two reports of one ``shape`` differ only in their table, so the halves
+    are looked up by it.
     """
     if isinstance(result, dict):
         return _json_line(result)
-    S = result.semigroup
-    shape = (
-        S.order,
-        result.classification.case,
-        result.lemma,
-        tuple(result.elements.items()),
-        result.target,
-        result.verified_identities,
-        result.inside_points,
-        result.outside_points,
-        result.separating_point,
-        result.is_equational_domain,
-    )
-    halves = _SHAPES.get(shape)
+    halves = _SHAPES.get(result.shape)
     if halves is None:
-        halves = _SHAPES[shape] = _halves({**result.to_jsonable(), "table": None})
-    return halves[0] + _rows_text(S.table) + halves[1]
+        halves = _SHAPES[result.shape] = _halves({**result.to_jsonable(), "table": None})
+    return halves[0] + _rows_text(result.semigroup.table) + halves[1]
 
 
 def _record(result) -> dict:

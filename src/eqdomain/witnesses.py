@@ -6,17 +6,19 @@ not), one for non-idempotent semigroups satisfying x^2 = x^3, and one for
 semigroups with an element whose square and cube differ.  Each
 construction names concrete elements, a handful of table identities that
 make the argument work, and probe points inside and outside the target
-union.  The first three share one shape, built by ``_pair_certificate``:
-a two-element subsemigroup {x, y} with (x, x, y) and (x, y, x) inside m3
-and (x, y, y) outside; only the choice of the pair differs.
-:func:`check_semigroup` checks the identities and memberships and
-certifies with :func:`in_pair_closure` that the outside probe lies in the
-closure of the two inside ones.  It does so once per shape key: the
-order, the lemma, the elements it picks and the truth values of its
-identities, and for lemma 3 a's index and period.  These fix every field
-of the report but the table, the certificate's verdict and its triple
-count included, so every later table of that key gets the stored report
-with its own table, and a smaller budget trips where the search would.
+union.  :func:`_shape_key` alone reads a lemma's choice from the table:
+the order, the lemma, the elements it picks and the truth values of its
+identities, and for lemma 3 a's index and period.  :func:`_report` builds
+every report from that key.  The first three lemmas share one shape,
+built by ``_pair_certificate``: a two-element subsemigroup {x, y} with
+(x, x, y) and (x, y, x) inside m3 and (x, y, y) outside; only the choice
+of the pair differs.  :func:`check_semigroup` checks the identities and
+memberships and certifies with :func:`in_pair_closure` that the outside
+probe lies in the closure of the two inside ones.  It does so once per
+key.  The key fixes every field of the report but the table, the
+certificate's verdict and its triple count included, so every later table
+of that key gets the stored report with its own table, and a smaller
+budget trips where the search would.
 
 The module imports only :mod:`.semigroups`, so checking the theorem loads
 no clone engine (``terms``, ``geometry``) and no numpy; that is why the
@@ -58,7 +60,9 @@ class WitnessReport(NamedTuple):
 
     A builder's ``separating_point`` is the outside probe its construction
     claims lies in the closure of the inside probes; the report
-    :func:`check_semigroup` returns has that point certified.
+    :func:`check_semigroup` returns has that point certified.  ``shape`` is
+    the key the report was built from: two reports of one shape differ only
+    in their table, and :meth:`to_jsonable` leaves it out.
     """
 
     semigroup: Semigroup
@@ -71,6 +75,7 @@ class WitnessReport(NamedTuple):
     outside_points: tuple[tuple[int, ...], ...]
     separating_point: tuple[int, ...] | None
     is_equational_domain: bool
+    shape: tuple  # the shape key, (1,) for the trivial report
 
     def to_jsonable(self) -> dict:
         return {
@@ -171,7 +176,7 @@ def _classified(S: Semigroup, cls: Classification | None, case: Case) -> Classif
 def _pair_certificate(
     S: Semigroup,
     cls: Classification,
-    lemma: str,
+    key: tuple,
     elements: dict[str, int],
     x: int,
     y: int,
@@ -185,14 +190,15 @@ def _pair_certificate(
     calling lemma's own argument; this only records the probes, claiming
     (x, y, y) as the separating point, and appends the check that {x, y},
     written ``pair_name``, is closed under product after the lemma's
-    ``identities``.
+    ``identities``.  ``key`` is the lemma's shape key.
     """
     pair = (x, y)
-    closed = all(S.mul(u, v) in pair for u in pair for v in pair)
+    t = S.table
+    closed = all(t[u][v] in pair for u in pair for v in pair)
     return WitnessReport(
         semigroup=S,
         classification=cls,
-        lemma=lemma,
+        lemma=key[1],
         elements=elements,
         target="m3",
         verified_identities=(*identities, (f"{{{pair_name}}} closed under product", closed)),
@@ -200,18 +206,98 @@ def _pair_certificate(
         outside_points=((x, y, y),),
         separating_point=(x, y, y),
         is_equational_domain=False,
+        shape=key,
     )
 
 
-def _one_sided_pair(t) -> tuple[int, int, int, bool]:
-    """Lemma 1.1's a, b and c, and whether the pair {a, c} is right-zero."""
-    n = len(t)
+def _shape_key(S: Semigroup, cls: Classification) -> tuple:
+    """What fixes every field of a nontrivial report of S but S itself.
+
+    That is the order, the lemma, the elements its construction picks and
+    the truth values of its identities, read from the table, and lemma
+    1.1's orientation.  :func:`_report` builds the report from these
+    alone.  When the identities hold they fix all four products of the
+    closed pair, hence the pair certificate's verdict and triple count;
+    lemma 3 certifies inside <a>, so its key adds a's index and period.
+    """
+    t = S.table
+    n = S.order
+    case = cls.case
+    if case is Case.UNBOUNDED:
+        a = cls.element
+        a2 = t[a][a]
+        a3 = t[a2][a]
+        powers = [a]
+        x = a2
+        while x not in powers:
+            powers.append(x)
+            x = t[x][a]
+        start = powers.index(x)
+        return n, "3", a, a2, a3, a != a2, a2 != a3, start + 1, len(powers) - start
+    if case is Case.BOUNDED_NON_IDEMPOTENT:
+        a = cls.element
+        a2 = t[a][a]
+        return n, "2", a, a2, a != a2, a2 == t[a2][a]
+    if case is Case.IDEMPOTENT_COMMUTING_PAIR:
+        a, b = cls.pair
+        c = t[a][b]
+        d = a if a != c else b
+        return (
+            n, "1.2", a, b, c, d,
+            c == t[b][a], t[d][d] == d, t[c][c] == c, t[d][c] == c, t[c][d] == c,
+        )
     a, b = next(
         ((a, b) for a in range(n) for b in range(n) if b != a and t[a][b] != a),
         (0, 1),  # no such pair: every product x*y is x
     )
-    right = t[a][b] != a
-    return a, b, t[a][b] if right else t[b][a], right
+    right = t[a][b] != a  # whether the pair {a, c} is right-zero
+    c = t[a][b] if right else t[b][a]
+    ac, ca = (c, a) if right else (a, c)
+    return n, "1.1", a, b, c, right, t[a][a] == a, t[c][c] == c, t[a][c] == ac, t[c][a] == ca
+
+
+def _report(S: Semigroup, cls: Classification, key: tuple) -> WitnessReport:
+    """The unchecked report of a nontrivial S whose shape key is ``key``.
+
+    It names the lemma's elements and identities and lays out its probes
+    and target, reading nothing from the table but the closed pair's
+    products.
+    """
+    lemma = key[1]
+    if lemma == "3":
+        a, a2, a3, a_a2, a2_a3 = key[2:7]
+        return WitnessReport(
+            semigroup=S,
+            classification=cls,
+            lemma="3",
+            elements={"a": a, "a2": a2, "a3": a3},
+            target="m4",
+            verified_identities=(("a != a^2", a_a2), ("a^2 != a^3", a2_a3)),
+            inside_points=((a2, a, a, a), (a, a, a2, a)),
+            outside_points=((a3, a2, a3, a2),),
+            separating_point=(a3, a2, a3, a2),
+            is_equational_domain=False,
+            shape=key,
+        )
+    if lemma == "2":
+        a, a2, *holds = key[2:]
+        identities = tuple(zip(("a != a^2", "a^2 = a^3"), holds))
+        return _pair_certificate(S, cls, key, {"a": a, "a2": a2}, a, a2, "a,a^2", identities)
+    if lemma == "1.2":
+        a, b, c, d, *holds = key[2:]
+        if d == c:
+            raise WitnessNotFound("both members of the commuting pair equal their product")
+        names = ("a*b = b*a", "d*d = d", "c*c = c", "d*c = c", "c*d = c")
+        elements = {"a": a, "b": b, "c": c, "d": d}
+        return _pair_certificate(S, cls, key, elements, d, c, "d,c", tuple(zip(names, holds)))
+    a, b, c, right, *holds = key[2:]
+    if c == a:
+        raise WitnessNotFound("no distinct pair spans a two-element subsemigroup")
+    # the pair is right-zero (u*v = v) or left-zero (u*v = u)
+    ac, ca = ("c", "a") if right else ("a", "c")
+    names = ("a*a = a", "c*c = c", f"a*c = {ac}", f"c*a = {ca}")
+    elements = {"a": a, "b": b, "c": c}
+    return _pair_certificate(S, cls, key, elements, a, c, "a,c", tuple(zip(names, holds)))
 
 
 def witness_lemma1_case1(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -228,19 +314,7 @@ def witness_lemma1_case1(S: Semigroup, cls: Classification | None = None) -> Wit
     pair the same goes for the first variable.
     """
     cls = _classified(S, cls, Case.IDEMPOTENT_NOWHERE_COMMUTATIVE)
-    a, b, c, right = _one_sided_pair(S.table)
-    if c == a:
-        raise WitnessNotFound("no distinct pair spans a two-element subsemigroup")
-    # the pair is right-zero (u*v = v) or left-zero (u*v = u)
-    ac, ca = ("c", "a") if right else ("a", "c")
-    value = {"a": a, "c": c}
-    identities = (
-        ("a*a = a", S.mul(a, a) == a),
-        ("c*c = c", S.mul(c, c) == c),
-        (f"a*c = {ac}", S.mul(a, c) == value[ac]),
-        (f"c*a = {ca}", S.mul(c, a) == value[ca]),
-    )
-    return _pair_certificate(S, cls, "1.1", {"a": a, "b": b, "c": c}, a, c, "a,c", identities)
+    return _report(S, cls, _shape_key(S, cls))
 
 
 def witness_lemma1_case2(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -255,20 +329,7 @@ def witness_lemma1_case2(S: Semigroup, cls: Classification | None = None) -> Wit
     holding at both inside probes holds at (d, c, c).
     """
     cls = _classified(S, cls, Case.IDEMPOTENT_COMMUTING_PAIR)
-    a, b = cls.pair
-    c = S.mul(a, b)
-    d = a if a != c else b
-    if d == c:
-        raise WitnessNotFound("both members of the commuting pair equal their product")
-    identities = (
-        ("a*b = b*a", S.mul(a, b) == S.mul(b, a)),
-        ("d*d = d", S.mul(d, d) == d),
-        ("c*c = c", S.mul(c, c) == c),
-        ("d*c = c", S.mul(d, c) == c),
-        ("c*d = c", S.mul(c, d) == c),
-    )
-    elements = {"a": a, "b": b, "c": c, "d": d}
-    return _pair_certificate(S, cls, "1.2", elements, d, c, "d,c", identities)
+    return _report(S, cls, _shape_key(S, cls))
 
 
 def witness_lemma2(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -282,13 +343,7 @@ def witness_lemma2(S: Semigroup, cls: Classification | None = None) -> WitnessRe
     at both, so it holds at (a, a^2, a^2).
     """
     cls = _classified(S, cls, Case.BOUNDED_NON_IDEMPOTENT)
-    a = cls.element
-    a2 = S.power(a, 2)
-    identities = (
-        ("a != a^2", a != a2),
-        ("a^2 = a^3", a2 == S.power(a, 3)),
-    )
-    return _pair_certificate(S, cls, "2", {"a": a, "a2": a2}, a, a2, "a,a^2", identities)
+    return _report(S, cls, _shape_key(S, cls))
 
 
 def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessReport:
@@ -300,25 +355,7 @@ def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessRe
     target because a^2 != a^3.
     """
     cls = _classified(S, cls, Case.UNBOUNDED)
-    a = cls.element
-    a2 = S.power(a, 2)
-    a3 = S.power(a, 3)
-    idents = (
-        ("a != a^2", a != a2),
-        ("a^2 != a^3", a2 != a3),
-    )
-    return WitnessReport(
-        semigroup=S,
-        classification=cls,
-        lemma="3",
-        elements={"a": a, "a2": a2, "a3": a3},
-        target="m4",
-        verified_identities=idents,
-        inside_points=((a2, a, a, a), (a, a, a2, a)),
-        outside_points=((a3, a2, a3, a2),),
-        separating_point=(a3, a2, a3, a2),
-        is_equational_domain=False,
-    )
+    return _report(S, cls, _shape_key(S, cls))
 
 
 class ExponentVector(NamedTuple):
@@ -392,48 +429,6 @@ _BUILDERS = {
 _REPORTS: dict[tuple, tuple[tuple, int]] = {}
 
 
-def _shape_key(S: Semigroup, cls: Classification) -> tuple:
-    """What fixes every field of a nontrivial report of S but S itself.
-
-    That is the order, the lemma, the elements its builder picks and the
-    truth values of its identities, read from the table as the builder
-    reads them, and lemma 1.1's orientation.  These fix the report's
-    names, probes and target.  When the identities hold they fix all four
-    products of the closed pair, hence the pair certificate's verdict and
-    triple count; lemma 3 certifies inside <a>, so its key adds a's index
-    and period.
-    """
-    t = S.table
-    n = S.order
-    case = cls.case
-    if case is Case.UNBOUNDED:
-        a = cls.element
-        a2 = t[a][a]
-        a3 = t[a2][a]
-        powers = [a]
-        x = a2
-        while x not in powers:
-            powers.append(x)
-            x = t[x][a]
-        start = powers.index(x)
-        return n, "3", a, a2, a3, a != a2, a2 != a3, start + 1, len(powers) - start
-    if case is Case.BOUNDED_NON_IDEMPOTENT:
-        a = cls.element
-        a2 = t[a][a]
-        return n, "2", a, a2, a != a2, a2 == t[a2][a]
-    if case is Case.IDEMPOTENT_COMMUTING_PAIR:
-        a, b = cls.pair
-        c = t[a][b]
-        d = a if a != c else b
-        return (
-            n, "1.2", a, b, c, d,
-            c == t[b][a], t[d][d] == d, t[c][c] == c, t[d][c] == c, t[c][d] == c,
-        )
-    a, b, c, right = _one_sided_pair(t)
-    ac, ca = (c, a) if right else (a, c)
-    return n, "1.1", a, b, c, right, t[a][a] == a, t[c][c] == c, t[a][c] == ac, t[c][a] == ca
-
-
 def _certified(S: Semigroup, cls: Classification, budget: int) -> tuple[WitnessReport, int]:
     """The checked report of a nontrivial S, and its certificate's triple count."""
     report = _BUILDERS[cls.case](S, cls)
@@ -468,6 +463,8 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
     semigroup, and ``budget`` trips on it exactly where the certificate
     would.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     cls = classify(S)
     if cls.case is Case.TRIVIAL:
         return WitnessReport(
@@ -481,6 +478,7 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
             outside_points=(),
             separating_point=None,
             is_equational_domain=True,
+            shape=(1,),
         )
     key = _shape_key(S, cls)
     known = _REPORTS.get(key)
@@ -489,8 +487,6 @@ def check_semigroup(S: Semigroup, budget: int = DEFAULT_BUDGET) -> WitnessReport
         _REPORTS[key] = report[1:], size
         return report
     fields, size = known
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     if size > budget:  # the certificate trips as it adds triple budget + 1
         raise BudgetExceeded(budget + 1)
     return WitnessReport._make((S, *fields))

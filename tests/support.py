@@ -14,14 +14,18 @@ import numpy as np
 from eqdomain import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    Case,
     PointSet,
     Semigroup,
     Term,
     TermFunction,
+    WitnessReport,
+    classify,
     coordinate_grid,
     decode_point,
     in_pair_closure,
 )
+from eqdomain.witnesses import _shape_key
 
 LEFT_ZERO = Semigroup([[0, 0], [1, 1]])
 RIGHT_ZERO = Semigroup([[0, 1], [0, 1]])
@@ -293,3 +297,82 @@ def in_m3(p):
 
 def in_m4(p):
     return p[0] == p[1] or p[2] == p[3]
+
+
+def reference_report(S):
+    """The unchecked report of a nontrivial S, built through ``Semigroup.mul``
+    and ``power`` as the four lemmas state it.
+
+    Only ``shape`` is taken from the library (:func:`_shape_key`), so that
+    the report compares equal to the library's; what a shape fixes is
+    tested against this oracle.
+    """
+    cls = classify(S)
+    mul = S.mul
+    if cls.case is Case.UNBOUNDED:
+        a = cls.element
+        a2, a3 = S.power(a, 2), S.power(a, 3)
+        return WitnessReport(
+            semigroup=S,
+            classification=cls,
+            lemma="3",
+            elements={"a": a, "a2": a2, "a3": a3},
+            target="m4",
+            verified_identities=(("a != a^2", a != a2), ("a^2 != a^3", a2 != a3)),
+            inside_points=((a2, a, a, a), (a, a, a2, a)),
+            outside_points=((a3, a2, a3, a2),),
+            separating_point=(a3, a2, a3, a2),
+            is_equational_domain=False,
+            shape=_shape_key(S, cls),
+        )
+    if cls.case is Case.BOUNDED_NON_IDEMPOTENT:
+        a = cls.element
+        a2 = S.power(a, 2)
+        lemma, elements, x, y, pair_name = "2", {"a": a, "a2": a2}, a, a2, "a,a^2"
+        identities = (("a != a^2", a != a2), ("a^2 = a^3", a2 == S.power(a, 3)))
+    elif cls.case is Case.IDEMPOTENT_COMMUTING_PAIR:
+        a, b = cls.pair
+        c = mul(a, b)
+        d = a if a != c else b
+        assert d != c, S.table
+        lemma, elements, x, y, pair_name = "1.2", {"a": a, "b": b, "c": c, "d": d}, d, c, "d,c"
+        identities = (
+            ("a*b = b*a", mul(a, b) == mul(b, a)),
+            ("d*d = d", mul(d, d) == d),
+            ("c*c = c", mul(c, c) == c),
+            ("d*c = c", mul(d, c) == c),
+            ("c*d = c", mul(c, d) == c),
+        )
+    else:
+        assert cls.case is Case.IDEMPOTENT_NOWHERE_COMMUTATIVE, S.table
+        n = S.order
+        a, b = next(
+            ((a, b) for a in range(n) for b in range(n) if b != a and mul(a, b) != a),
+            (0, 1),  # every product x*y is x: the table is left-zero
+        )
+        right = mul(a, b) != a
+        c = mul(a, b) if right else mul(b, a)
+        assert c != a, S.table
+        ac, ca = ("c", "a") if right else ("a", "c")
+        value = {"a": a, "c": c}
+        lemma, elements, x, y, pair_name = "1.1", {"a": a, "b": b, "c": c}, a, c, "a,c"
+        identities = (
+            ("a*a = a", mul(a, a) == a),
+            ("c*c = c", mul(c, c) == c),
+            (f"a*c = {ac}", mul(a, c) == value[ac]),
+            (f"c*a = {ca}", mul(c, a) == value[ca]),
+        )
+    closed = all(mul(u, v) in (x, y) for u in (x, y) for v in (x, y))
+    return WitnessReport(
+        semigroup=S,
+        classification=cls,
+        lemma=lemma,
+        elements=elements,
+        target="m3",
+        verified_identities=(*identities, (f"{{{pair_name}}} closed under product", closed)),
+        inside_points=((x, x, y), (x, y, x)),
+        outside_points=((x, y, y),),
+        separating_point=(x, y, y),
+        is_equational_domain=False,
+        shape=_shape_key(S, cls),
+    )

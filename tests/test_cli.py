@@ -498,7 +498,7 @@ class TestReportLines:
         for S in chain(*orders, enumerate_tables(5, "up_to_iso_and_anti")):
             report = check_semigroup(S)
             assert cli._report_line(report) == cli._json_line(report.to_jsonable())
-        # far fewer shapes than tables: 70 among the 3,492 of order 4
+        # far fewer shapes than tables: 146 among the 3,492 of order 4
         assert len(cli._SHAPES) < 3_613 // 10
 
     def test_failure_records_render_as_before(self, monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 import eqdomain.witnesses as witnesses
@@ -32,6 +34,7 @@ from support import (
     Z3,
     in_m3,
     in_m4,
+    reference_report,
 )
 
 
@@ -189,7 +192,7 @@ class TestPairCertificate:
             cls = classify(S)
             if cls.case is Case.TRIVIAL:
                 continue
-            r = witnesses._BUILDERS[cls.case](S, cls)
+            r = reference_report(S)
             assert r.separating_point == r.outside_points[0], S.table
             assert check_semigroup(S) == r
 
@@ -208,10 +211,9 @@ class TestPairCertificate:
 
 
 def uncached_report(S):
-    """The builder's report of a nontrivial S, checked as check_semigroup
+    """The reference report of a nontrivial S, checked as check_semigroup
     checks it on an empty memo, and its certificate's triple count."""
-    cls = classify(S)
-    r = witnesses._BUILDERS[cls.case](S, cls)
+    r = reference_report(S)
     assert identities_hold(r), S.table
     member = in_m3 if r.target == "m3" else in_m4
     assert all(member(p) for p in r.inside_points), S.table
@@ -260,6 +262,22 @@ class TestShapeMemo:
         check_semigroup(Z3)
         with pytest.raises(ValueError):
             check_semigroup(Z3, budget=0)
+
+    def test_zero_budget_is_rejected_on_the_trivial_table(self):
+        with pytest.raises(ValueError):
+            check_semigroup(Semigroup([[0]]), budget=0)
+
+    def test_one_shape_one_record(self):
+        # every raw table of orders 1 to 4 and every order-5 iso-anti class;
+        # the records compared are the reference's, built without the memo
+        orders = [enumerate_tables(n) for n in range(1, 5)]
+        records = {}
+        for S in chain(*orders, enumerate_tables(5, "up_to_iso_and_anti")):
+            report = reference_report(S) if S.order > 1 else check_semigroup(S)
+            record = report.to_jsonable()
+            assert "shape" not in record
+            del record["table"]
+            assert records.setdefault(report.shape, record) == record, S.table
 
     def test_failed_identity_leaves_no_entry(self, monkeypatch):
         def false_identity(S, cls=None):
