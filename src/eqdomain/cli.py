@@ -9,9 +9,10 @@ codes.
 
 ``check`` and ``verify-theorem`` run the same shard tasks: ``check`` cuts
 its corpus into slices, ``verify-theorem`` each order's raw stream (held
-whole up to order 5) into slices, or else its search into shards.  Worker
-processes check the shards, or, at one job, this process reads them one
-table at a time, and each line is printed as soon as its shard's turn comes.
+whole up to order 5) into slices, or else its search into shards.  The
+workers of :mod:`eqdomain.pool` check the shards, or, at one job, this
+process reads them one table at a time, and each line is printed as soon
+as its shard's turn comes.
 
 A report's JSON line is spliced from pieces that are each encoded once:
 the text around the table, once per report ``shape`` (the key the report
@@ -26,8 +27,8 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from functools import partial
-from itertools import chain, cycle, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ from .enumeration import (
     HELD_RAW_ORDER,
     SOFT_ORDER_LIMIT,
     CorpusError,
+    CorpusWarning,
     enumerate_tables,
     flat_semigroups,
     format_table,
@@ -54,10 +56,9 @@ DEFAULT_ARITY_LIMIT = 4
 _CLI_MODES = {"raw": "raw", "iso": "up_to_iso", "iso-anti": "up_to_iso_and_anti"}
 
 # check and verify-theorem cut their tables into up to this many shards
-# per worker, and let up to SHARDS_AHEAD_PER_JOB shards per worker be out
-# at once, so that a long shard holds up no other worker
+# per worker, of which pool.SHARDS_AHEAD_PER_JOB per worker are out at
+# once, so that a long shard holds up no other worker
 SHARDS_PER_JOB = 32
-SHARDS_AHEAD_PER_JOB = 4
 
 # The names that check and verify-theorem take from witnesses, and those
 # that closure takes from terms and geometry (term-functions takes only
@@ -189,100 +190,6 @@ def _check_table(S: Semigroup, budget: int):
     return {"order": S.order, "table": [list(r) for r in S.table], **detail}
 
 
-class WorkerLost(RuntimeError):
-    """A worker process died before it returned a task's result."""
-
-
-def _serve(fn, conn, cpu):
-    """Worker process: answer each task that comes on ``conn``, until ``None``.
-
-    The answer is ``list(fn(task))``, so ``fn`` may return a generator.  The
-    worker first pins itself to ``cpu``, unless that is None.
-    """
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:  # the CPU went away since the parent read its set
-            pass
-    while (task := conn.recv()) is not None:
-        conn.send(list(fn(task)))
-
-
-def _start_worker(fn, cpu):
-    """A worker process serving ``fn``, pinned to ``cpu`` unless that is
-    None: the pipe to it, and the process."""
-    import multiprocessing
-
-    conn, child = multiprocessing.Pipe()
-    process = multiprocessing.Process(target=_serve, args=(fn, child, cpu), daemon=True)
-    process.start()
-    child.close()  # the worker holds the only other end: its death is EOF here
-    return conn, process
-
-
-def _ordered_map(fn, tasks, jobs: int, describe):
-    """``fn(task)`` for each task, in task order, yielded as it arrives.
-
-    ``tasks`` may be any iterable, read as the results are wanted.  Up to
-    ``jobs`` worker processes run the tasks, never more than there are
-    tasks, and each result comes back as ``list(fn(task))``.  A worker
-    takes the next task as soon as it is free, and at most
-    ``SHARDS_AHEAD_PER_JOB * jobs`` tasks are out at once: a reader slower
-    than the workers holds them back instead of letting results pile up.
-    With one worker the tasks run in this process and ``fn(task)`` is
-    yielded as it is, so a generator is read only as its reader asks.  If
-    a worker dies, the task it held, named by ``describe(index, task)``, is
-    reported by raising :class:`WorkerLost`.
-
-    Worker i is pinned to the i-th CPU of this process's set, wrapping
-    around, and this process's own set is left as it is.  Short-lived
-    forked workers otherwise tend to run on their parent's CPU while
-    another stays idle.  Nothing is pinned where this process may use only
-    one CPU or the platform cannot pin.
-    """
-    tasks = iter(tasks)
-    head = list(islice(tasks, jobs))
-    if len(head) <= 1:
-        yield from map(fn, chain(head, tasks))
-        return
-    from multiprocessing.connection import wait
-
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    if len(cpus) < 2:
-        cpus = [None]
-    workers = dict(_start_worker(fn, cpu) for _, cpu in zip(head, cycle(cpus)))  # pipe -> process
-    numbered = enumerate(chain(head, tasks))
-    idle, busy, done = list(workers), {}, {}  # busy: pipe -> (index, task)
-    ahead, yielded = SHARDS_AHEAD_PER_JOB * jobs, 0
-    try:
-        while True:
-            while idle and len(busy) + len(done) < ahead and (item := next(numbered, None)):
-                conn = idle.pop()
-                busy[conn] = item
-                conn.send(item[1])
-            if yielded in done:
-                yield done.pop(yielded)
-                yielded += 1
-            elif not busy:
-                return
-            else:
-                for conn in wait(list(busy)):
-                    done[busy[conn][0]] = conn.recv()
-                    del busy[conn]
-                    idle.append(conn)
-    except (EOFError, OSError):  # the pipe to a dead worker
-        index, task = busy[conn]
-        raise WorkerLost(f"a worker process died; lost {describe(index, task)}") from None
-    finally:
-        for conn, process in workers.items():
-            if conn in busy:
-                process.terminate()
-            else:
-                conn.send(None)
-        for process in workers.values():
-            process.join()
-
-
 def _render_report_text(report: dict) -> str:
     lines = [f"order {report['order']}  table {report['table']}"]
     lines.append(f"  classification: {report['classification']}")
@@ -352,6 +259,8 @@ def _check_shard(task):
 def _run_shards(tasks, jobs: int, describe):
     """The outcome of each table of the shard tasks, in order, printing
     each table's output as it comes."""
+    from .pool import _ordered_map
+
     for shard in _ordered_map(_check_shard, tasks, jobs, describe):
         for text, outcome in shard:
             if text is not None:
@@ -664,15 +573,23 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except BrokenPipeError:
         raise  # for entry: the reader closed stdout, exit 1
+    except (ChildProcessError, BudgetExceeded) as e:  # pool.WorkerLost is a ChildProcessError
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except (OSError, CorpusError, TableError, ValueError) as e:  # TermSyntaxError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (WorkerLost, BudgetExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+
+
+def _format_warning(format_other, message, category, *where):
+    # a bad corpus table is named by its line, not by the library line that warned
+    if issubclass(category, CorpusWarning):
+        return f"warning: {message}\n"
+    return format_other(message, category, *where)
 
 
 def entry():
+    warnings.formatwarning = partial(_format_warning, warnings.formatwarning)
     try:
         code = main()
         sys.stdout.flush()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import eqdomain.cli as cli
 import eqdomain.enumeration as enumeration
+import eqdomain.pool as pool
 from eqdomain import DEFAULT_BUDGET, BudgetExceeded, CorpusWarning, check_semigroup, enumerate_tables, format_table
 from eqdomain.cli import main
 from eqdomain.enumeration import split_search
@@ -161,6 +162,21 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(path), "--strict")
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_module_entry_prints_a_bad_table_as_one_warning_line(self, tmp_path):
+        # the warning names the table's line, not the library line that warned
+        path = tmp_path / "corpus.txt"
+        path.write_text("3\n0 0 0\n0 0 0\n0 0 x\n\n2\n0 0\n0 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqdomain", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["lemma"] == "1.2"
+        assert proc.stderr == "warning: line 4: expected 3 integers, found '0 0 x'\n"
 
     def test_error_is_a_record(self, capsys, table_file, monkeypatch):
         monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
@@ -375,14 +391,14 @@ class TestVerifyTheorem:
         started = []
 
         def thread_worker(fn, cpu):
-            """A worker as cli._start_worker makes one, but a thread of this process."""
+            """A worker as pool._start_worker makes one, but a thread of this process."""
             started.append(fn)
             conn, child = multiprocessing.Pipe()
-            thread = threading.Thread(target=cli._serve, args=(fn, child, cpu), daemon=True)
+            thread = threading.Thread(target=pool._serve, args=(fn, child, cpu), daemon=True)
             thread.start()
             return conn, thread
 
-        monkeypatch.setattr(cli, "_start_worker", thread_worker)
+        monkeypatch.setattr(pool, "_start_worker", thread_worker)
         search_shards = sum(len(split_search(n, "up_to_iso", cli.SHARDS_PER_JOB * 64)) for n in (2, 3, 4))
         # order 2's eight raw tables are a slice each; iso mode splits each order's search
         for max_order, mode, shards in (("2", "raw", 8), ("4", "iso", search_shards)):
@@ -396,7 +412,7 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_ordered_map_reads_its_tasks_lazily_in_order(self, jobs):
-        pulled, ahead = 0, cli.SHARDS_AHEAD_PER_JOB * jobs
+        pulled, ahead = 0, pool.SHARDS_AHEAD_PER_JOB * jobs
 
         def tasks():
             nonlocal pulled
@@ -404,7 +420,7 @@ class TestVerifyTheorem:
                 pulled += 1
                 yield partial(iter, [S]), DEFAULT_BUDGET, cli._report_line
 
-        results = cli._ordered_map(cli._check_shard, tasks(), jobs, lambda index, task: f"task {index}")
+        results = pool._ordered_map(cli._check_shard, tasks(), jobs, lambda index, task: f"task {index}")
         first = list(next(results))
         # at most jobs + ahead tasks are out before the first result
         assert 1 <= pulled <= jobs + ahead
@@ -412,39 +428,6 @@ class TestVerifyTheorem:
         assert pulled == 113
         reports = [json.loads(line) for shard in shards for line, _ in shard]
         assert reports == [check_semigroup(S, budget=DEFAULT_BUDGET).to_jsonable() for S in enumerate_tables(3)]
-
-
-def affinity(task):
-    """A pool task: the set of CPUs the worker that runs it may use."""
-    return [os.sched_getaffinity(0)]
-
-
-def own_cpus():
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-
-
-@pytest.mark.skipif(len(own_cpus()) < 2, reason="needs sched_getaffinity and at least two CPUs")
-class TestWorkerPinning:
-    def test_two_workers_run_on_two_cpus(self):
-        cpus = own_cpus()
-        results = list(cli._ordered_map(affinity, range(2), 2, lambda index, task: f"task {index}"))
-        sets = [result[0] for result in results]
-        assert all(len(s) == 1 and s <= cpus for s in sets)
-        assert sets[0] != sets[1]
-        assert own_cpus() == cpus
-
-    def test_workers_wrap_around_the_cpus(self, capsys):
-        cpus = own_cpus()
-        jobs = len(cpus) + 1
-        results = list(cli._ordered_map(affinity, range(jobs), jobs, lambda index, task: f"task {index}"))
-        assert all(len(result[0]) == 1 for result in results)
-        assert sorted(cpu for result in results for cpu in result[0]) == sorted([*cpus, min(cpus)])
-        argv = ("verify-theorem", "--max-order", "4", "--mode", "raw")
-        _, out1, _ = run(capsys, *argv, "--jobs", "1")
-        code, outn, _ = run(capsys, *argv, "--jobs", str(jobs))
-        assert code == 0
-        assert outn == out1
-        assert own_cpus() == cpus
 
 
 # md5 of whole report streams, frozen from the output of the separate lemma
@@ -825,7 +808,9 @@ print(json.dumps({"code": code, "import": sorted(imported - bare), "enumerate": 
 """
 # enumerate needs none of these, and without cached bytecode each one is
 # compiled again at every start
-NOT_AT_START = {"eqdomain.terms", "eqdomain.geometry", "eqdomain.witnesses", "numpy", "dataclasses", "inspect"}
+NOT_AT_START = {
+    "eqdomain.terms", "eqdomain.geometry", "eqdomain.witnesses", "eqdomain.pool", "numpy", "dataclasses", "inspect"
+}
 
 # Rebinds check_semigroup in the CLI before anything read it, as
 # perfbench/tracer.py does, and counts the calls that reach it
@@ -848,12 +833,13 @@ print(json.dumps({"code": code, "calls": len(calls)}))
 BOUND_BEFORE_FORK = """
 import contextlib, io, json, sys
 import eqdomain.cli as cli
-start, bound = cli._start_worker, []
+import eqdomain.pool as pool
+start, bound = pool._start_worker, []
 def recording(fn, cpu):
     names = ("check_semigroup", "BudgetExceeded", "WitnessNotFound")
     bound.append(all(n in vars(cli) for n in names) and "eqdomain.witnesses" in sys.modules)
     return start(fn, cpu)
-cli._start_worker = recording
+pool._start_worker = recording
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["verify-theorem", "--max-order", "3", "--jobs", "2"]))
