@@ -15,6 +15,8 @@ import sys
 
 # in their import order: a name is looked up in each until one declares it
 _MODULES = ("semigroups", "enumeration", "witnesses", "terms", "geometry")
+# the modules that export nothing, which no lookup searches
+_PRIVATE_MODULES = ("cli", "commands", "pool")
 __version__ = "0.1.0"
 
 
@@ -25,7 +27,7 @@ def _load(module: str):
 
 
 def __getattr__(name):
-    if name in _MODULES or name == "cli":  # ``from eqdomain import cli`` asks before importing
+    if name in _MODULES or name in _PRIVATE_MODULES:  # ``from eqdomain import cli`` asks before importing
         return _load(name)
     if name == "__all__":  # every module's, which loads them all
         value = [*(n for module in _MODULES for n in _load(module).__all__), *_MODULES]

@@ -2,7 +2,8 @@
 
 :func:`_ordered_map` runs tasks in forked worker processes and yields their
 results in task order.  The CLI imports this module only when it runs
-shards, and ``multiprocessing`` is imported only when a worker is forked.
+shards on more than one job, and ``multiprocessing`` is imported only when
+a worker is forked.
 """
 
 import os
@@ -55,7 +56,8 @@ def _ordered_map(fn, tasks, jobs: int, describe):
     With one worker the tasks run in this process and ``fn(task)`` is
     yielded as it is, so a generator is read only as its reader asks.  If
     a worker dies, the task it held, named by ``describe(index, task)``, is
-    reported by raising :class:`WorkerLost`.
+    reported by raising :class:`WorkerLost`.  Every worker is joined before
+    the generator ends, is closed or raises.
 
     Worker i is pinned to the i-th CPU of this process's set, wrapping
     around, and this process's own set is left as it is.  Short-lived
@@ -97,10 +99,20 @@ def _ordered_map(fn, tasks, jobs: int, describe):
         index, task = busy[conn]
         raise WorkerLost(f"a worker process died; lost {describe(index, task)}") from None
     finally:
+        # a busy worker, or an idle one whose pipe is broken, is stopped;
+        # every worker is joined, however the reading ended
         for conn, process in workers.items():
-            if conn in busy:
+            if conn in busy or not _stop(conn):
                 process.terminate()
-            else:
-                conn.send(None)
         for process in workers.values():
             process.join()
+
+
+def _stop(conn) -> bool:
+    """Send an idle worker the ``None`` that ends it; False if its pipe is
+    broken, as it is once the worker has died."""
+    try:
+        conn.send(None)
+    except OSError:
+        return False
+    return True

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqdomain.cli as cli
+import eqdomain.commands as commands
 import eqdomain.enumeration as enumeration
 import eqdomain.pool as pool
 from eqdomain import DEFAULT_BUDGET, BudgetExceeded, CorpusWarning, check_semigroup, enumerate_tables, format_table
@@ -399,7 +400,7 @@ class TestVerifyTheorem:
             return conn, thread
 
         monkeypatch.setattr(pool, "_start_worker", thread_worker)
-        search_shards = sum(len(split_search(n, "up_to_iso", cli.SHARDS_PER_JOB * 64)) for n in (2, 3, 4))
+        search_shards = sum(len(split_search(n, "up_to_iso", commands.SHARDS_PER_JOB * 64)) for n in (2, 3, 4))
         # order 2's eight raw tables are a slice each; iso mode splits each order's search
         for max_order, mode, shards in (("2", "raw", 8), ("4", "iso", search_shards)):
             started.clear()
@@ -418,9 +419,9 @@ class TestVerifyTheorem:
             nonlocal pulled
             for S in enumerate_tables(3):
                 pulled += 1
-                yield partial(iter, [S]), DEFAULT_BUDGET, cli._report_line
+                yield partial(iter, [S]), DEFAULT_BUDGET, commands._report_line
 
-        results = pool._ordered_map(cli._check_shard, tasks(), jobs, lambda index, task: f"task {index}")
+        results = pool._ordered_map(commands._check_shard, tasks(), jobs, lambda index, task: f"task {index}")
         first = list(next(results))
         # at most jobs + ahead tasks are out before the first result
         assert 1 <= pulled <= jobs + ahead
@@ -475,14 +476,14 @@ class TestFrozenStreams:
 class TestReportLines:
     def test_spliced_lines_equal_the_encoded_records(self, monkeypatch):
         # empty caches, so that every shape and row is first met here
-        monkeypatch.setattr(cli, "_SHAPES", {})
+        monkeypatch.setattr(commands, "_SHAPES", {})
         monkeypatch.setattr(cli, "_ROW_TEXT", cli._RowText())
         orders = [enumerate_tables(n) for n in range(1, 5)]
         for S in chain(*orders, enumerate_tables(5, "up_to_iso_and_anti")):
             report = check_semigroup(S)
-            assert cli._report_line(report) == cli._json_line(report.to_jsonable())
+            assert commands._report_line(report) == cli._json_line(report.to_jsonable())
         # far fewer shapes than tables: 146 among the 3,492 of order 4
-        assert len(cli._SHAPES) < 3_613 // 10
+        assert len(commands._SHAPES) < 3_613 // 10
 
     def test_failure_records_render_as_before(self, monkeypatch):
         WitnessNotFound = cli.WitnessNotFound
@@ -503,12 +504,12 @@ class TestReportLines:
                 raise error
 
             monkeypatch.setattr(cli, "check_semigroup", check)
-            record = cli._check_table(MIN2, DEFAULT_BUDGET)
-            assert cli._report_line(record) == cli._json_line(record) == line
-            assert cli._render_result_text(record) == f"order 2  table [[0, 0], [0, 1]]\n  {text}"
+            record = commands._check_table(MIN2, DEFAULT_BUDGET)
+            assert commands._report_line(record) == cli._json_line(record) == line
+            assert commands._render_result_text(record) == f"order 2  table [[0, 0], [0, 1]]\n  {text}"
         monkeypatch.setattr(cli, "check_semigroup", fails_on(MIN2.table))
-        record = cli._check_table(MIN2, DEFAULT_BUDGET)
-        line = cli._report_line(record)
+        record = commands._check_table(MIN2, DEFAULT_BUDGET)
+        line = commands._report_line(record)
         assert line == cli._json_line(record)
         assert line.startswith('{"error":"RuntimeError: injected failure (test_cli.py:')
         assert line.endswith(' in patched)","order":2,"status":"error","table":[[0,0],[0,1]]}')
@@ -589,6 +590,132 @@ class TestEnumerate:
         assert first["order"] == first_order
         assert code == 1
         assert "Traceback" not in err
+
+
+# DIES_ON_TABLE_2001, run through the console script's entry
+DIES_THROUGH_ENTRY = DIES_ON_TABLE_2001.replace("sys.exit(cli.main(sys.argv[1:]))", "cli.entry()")
+
+# Runs enumerate through entry with a stdout that logs, at each write, the
+# lines the write holds and whether the search had ended by then
+RECORDED_WRITES = """
+import io, json, sys
+import eqdomain.cli as cli
+log, ended = open(sys.argv[1], "w", buffering=1), []
+search = cli.enumerate_tables
+def enumerate_tables(*args, **kwargs):
+    yield from search(*args, **kwargs)
+    ended.append(True)
+class Recorder(io.TextIOBase):
+    def write(self, text):
+        log.write(json.dumps([text.count("\\n"), bool(ended)]) + "\\n")
+        return len(text)
+cli.enumerate_tables = enumerate_tables
+sys.stdout = Recorder()
+sys.argv[1:] = ["enumerate", "--order", "4"]
+cli.entry()
+"""
+
+
+def session_processes(sid):
+    """The processes of session ``sid`` still in the process table, zombies included."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()  # the fields after the command name
+        except OSError:  # ended since the listing
+            continue
+        if int(fields[3]) == sid:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+class TestEntry:
+    """``python -m eqdomain``, which ends by os._exit once its output is flushed."""
+
+    @pytest.mark.parametrize(
+        "fmt, digest, err",
+        [
+            ("json", "ef19a0c54cdd1749edaedd991592b9c5", ""),
+            ("text", "f80b331386a827e8e76f10aa2a615191", "\n# 3492 tables of order 4 (raw)\n"),
+        ],
+    )
+    def test_enumerate_to_a_file_is_complete(self, tmp_path, fmt, digest, err):
+        out = tmp_path / "order4.out"
+        # buffered, so that what is not flushed before the exit is lost
+        env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+        with open(out, "wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "eqdomain", "enumerate", "--order", "4", "--format", fmt],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (0, err)
+        assert hashlib.md5(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_closed_stdout_is_exit_1_and_nothing_on_stderr(self, fmt):
+        with subprocess.Popen(
+            [sys.executable, "-m", "eqdomain", "enumerate", "--order", "4", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (1, b"")
+
+    def test_invalid_input_is_exit_2_with_its_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqdomain", "verify-theorem", "--max-order", "0"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: --max-order must be >= 1\n")
+
+    def test_enumerate_writes_blocks_while_the_search_runs(self, tmp_path):
+        log = tmp_path / "writes.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-c", RECORDED_WRITES, str(log)], capture_output=True, text=True, env=src_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        writes = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sum(lines for lines, _ in writes) == 3492
+        assert writes[0] == [512, False]
+        assert max(lines for lines, _ in writes) <= 512
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the session of each process in /proc")
+    @pytest.mark.parametrize("ending, exit_code", [("normal", 0), ("stdout-closed", 1), ("worker-lost", 3)])
+    def test_no_process_of_the_session_is_left(self, tmp_path, ending, exit_code):
+        argv = ["verify-theorem", "--max-order", "4", "--jobs", "2"]
+        if ending == "worker-lost":
+            command = [sys.executable, "-c", DIES_THROUGH_ENTRY, *argv]
+        else:
+            command = [sys.executable, "-m", "eqdomain", *argv]
+        stdout = subprocess.PIPE if ending == "stdout-closed" else subprocess.DEVNULL
+        # stderr goes to a file: a pipe would be held open by any worker left
+        with open(tmp_path / "err", "w+") as stderr, subprocess.Popen(
+            command, stdout=stdout, stderr=stderr, env=src_env(), start_new_session=True
+        ) as proc:
+            if ending == "stdout-closed":
+                assert proc.stdout.readline()
+                proc.stdout.close()
+            code = proc.wait(timeout=120)
+            left = session_processes(proc.pid)
+            stderr.seek(0)
+            err = stderr.read()
+        assert code == exit_code, err
+        assert left == []
+        if ending == "worker-lost":
+            assert err == "error: a worker process died; lost the order-4 tables 1,981 to 2,035\n"
+        else:
+            assert err == ""
 
 
 class TestClosure:
@@ -787,6 +914,13 @@ class TestColdStart:
         assert "numpy" in result["loaded"]
         assert "eqdomain.geometry" not in result["loaded"]
 
+    def test_one_job_loads_no_pool(self):
+        result = run_python(MODULES_AFTER_MAIN, json.dumps(["verify-theorem", "--max-order", "3", "--jobs", "1"]))
+        assert result == {
+            "code": 0,
+            "loaded": ["eqdomain.cli", "eqdomain.commands", "eqdomain.enumeration", "eqdomain.semigroups", "eqdomain.witnesses"],
+        }
+
     def test_enumerate_loads_only_what_it_runs(self):
         result = run_python(IMPORT_SETS)
         assert result["code"] == 0
@@ -809,7 +943,14 @@ print(json.dumps({"code": code, "import": sorted(imported - bare), "enumerate": 
 # enumerate needs none of these, and without cached bytecode each one is
 # compiled again at every start
 NOT_AT_START = {
-    "eqdomain.terms", "eqdomain.geometry", "eqdomain.witnesses", "eqdomain.pool", "numpy", "dataclasses", "inspect"
+    "eqdomain.terms",
+    "eqdomain.geometry",
+    "eqdomain.witnesses",
+    "eqdomain.pool",
+    "eqdomain.commands",
+    "numpy",
+    "dataclasses",
+    "inspect",
 }
 
 # Rebinds check_semigroup in the CLI before anything read it, as
@@ -930,6 +1071,19 @@ from eqdomain import cli
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("eqdomain.") or m == "numpy")))
 """
 
+# The same for the package's other modules that export nothing
+FROM_PACKAGE_IMPORT_POOL = FROM_PACKAGE_IMPORT_CLI.replace("import cli", "import pool")
+FROM_PACKAGE_IMPORT_COMMANDS = FROM_PACKAGE_IMPORT_CLI.replace("import cli", "import commands")
+
+# Runs a command in this process and prints the package's modules then loaded
+MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+from eqdomain.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("eqdomain."))}))
+"""
+
 # The same for the theorem's checker, which the package finds in witnesses
 # before it looks in terms or geometry
 FROM_PACKAGE_IMPORT_CHECK = """
@@ -1021,6 +1175,17 @@ class TestExportResolver:
     def test_importing_the_cli_from_the_package_loads_only_what_enumerate_runs(self):
         assert run_python(FROM_PACKAGE_IMPORT_CLI) == [
             "eqdomain.cli",
+            "eqdomain.enumeration",
+            "eqdomain.semigroups",
+        ]
+
+    def test_importing_the_pool_from_the_package_loads_only_the_pool(self):
+        assert run_python(FROM_PACKAGE_IMPORT_POOL) == ["eqdomain.pool"]
+
+    def test_importing_the_commands_from_the_package_loads_only_what_they_import(self):
+        assert run_python(FROM_PACKAGE_IMPORT_COMMANDS) == [
+            "eqdomain.cli",
+            "eqdomain.commands",
             "eqdomain.enumeration",
             "eqdomain.semigroups",
         ]

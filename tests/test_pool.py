@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -29,9 +31,31 @@ def exits_on_3(task):
     return [task]
 
 
+def answers_task_0_last(task):
+    """A pool task that holds task 0 back, so that both workers have
+    answered every task and are idle when its result is read."""
+    if task == 0:
+        time.sleep(0.5)
+    return [task]
+
+
 def test_dead_worker_is_named_and_every_worker_is_joined():
     with pytest.raises(WorkerLost, match=r"^a worker process died; lost task 3$"):
         list(_ordered_map(exits_on_3, range(6), 2, lambda index, task: f"task {task}"))
+    assert multiprocessing.active_children() == []
+
+
+def test_idle_workers_that_died_are_joined():
+    results = _ordered_map(answers_task_0_last, range(4), 2, lambda index, task: f"task {task}")
+    assert next(results) == [0]
+    workers = multiprocessing.active_children()
+    assert len(workers) == 2
+    for process in workers:
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10)
+        assert not process.is_alive()
+    # the answers came before the workers died; ending them needs no pipe
+    assert list(results) == [[1], [2], [3]]
     assert multiprocessing.active_children() == []
 
 
