@@ -25,8 +25,7 @@ misses no class.
 
 Canonical forms at these orders are found by direct minimization over
 all relabelings (and optionally the transpose), at most 2 * n!
-candidates.  :func:`is_canonical` tests a single table without building
-that minimum: it stops at the first smaller candidate.
+candidates.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import cache
 from itertools import chain, permutations
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .semigroups import _QUOTE_WIDTH, Semigroup, TableError
 
@@ -47,11 +46,8 @@ _trusted = Semigroup._trusted
 __all__ = [
     "MODES",
     "SOFT_ORDER_LIMIT",
-    "CanonicalForm",
     "enumerate_tables",
     "split_search",
-    "canonicalize",
-    "is_canonical",
     "CorpusError",
     "CorpusWarning",
     "parse_corpus",
@@ -63,13 +59,6 @@ MODES = ("raw", "up_to_iso", "up_to_iso_and_anti")
 SOFT_ORDER_LIMIT = 5  # table counts explode beyond this
 # the raw stream is held whole up to this order: order 6 has 17,061,118 tables
 HELD_RAW_ORDER = 5
-
-
-class CanonicalForm(NamedTuple):
-    """Lexicographically least relabeling of a table under the given mode."""
-
-    table: tuple[tuple[int, ...], ...]
-    mode: str
 
 
 def _relabel(table, perm):
@@ -105,46 +94,6 @@ def canonical_table(table, mode: str):
     return best
 
 
-def is_canonical(table, mode: str) -> bool:
-    """Whether ``table`` equals ``canonical_table(table, mode)``.
-
-    True unless some relabeling (in ``up_to_iso_and_anti`` mode, also of
-    the transpose) is lexicographically smaller.  Each candidate is built
-    cell by cell in row-major order and dropped at the first cell where it
-    is larger, so most candidates cost a cell or two.
-    """
-    if mode == "raw":
-        return True
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    n = len(table)
-    views = [table]
-    if mode == "up_to_iso_and_anti":
-        views.append(_transpose(table))
-    inverse = [0] * n
-    for view in views:
-        # sigma maps a cell of the candidate to the cell of view it is read from
-        for sigma in permutations(range(n)):
-            for a, s in enumerate(sigma):
-                inverse[s] = a
-            for i in range(n):
-                row, src = table[i], view[sigma[i]]
-                for j in range(n):
-                    c = inverse[src[sigma[j]]]
-                    if c != row[j]:
-                        if c < row[j]:
-                            return False
-                        break
-                else:
-                    continue  # row i ties: compare row i + 1
-                break  # the candidate is larger: try the next one
-    return True
-
-
-def canonicalize(S: Semigroup, mode: str) -> CanonicalForm:
-    return CanonicalForm(canonical_table(S.table, mode), mode)
-
-
 @cache
 def _relabelings(n: int, mode: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """The start state ``(src, lab, 0)`` of each relabeling the search tests.
@@ -152,11 +101,10 @@ def _relabelings(n: int, mode: str) -> tuple[tuple[tuple[int, ...], tuple[int, .
     For the relabeling sigma of a view (the table, or its transpose in
     ``up_to_iso_and_anti`` mode), cell q of the candidate is read from
     cell ``src[q]`` of the table and renamed by ``lab``, the inverse of
-    sigma, as in :func:`is_canonical`.  The third entry is the first cell
-    not yet known to tie.  The identity of the table itself is left out:
-    its candidate is the table.  ``raw`` mode has none.  Built once per
-    process for each ``(n, mode)``: every shard of a split search starts
-    from them.
+    sigma.  The third entry is the first cell not yet known to tie.  The
+    identity of the table itself is left out: its candidate is the table.
+    ``raw`` mode has none.  Built once per process for each
+    ``(n, mode)``: every shard of a split search starts from them.
     """
     states = []
     views = {"raw": (), "up_to_iso": (False,), "up_to_iso_and_anti": (False, True)}[mode]

@@ -21,14 +21,6 @@ __all__ = [
     "OutOfRangeEntry",
     "AssociativityViolation",
     "Semigroup",
-    "ElementProfile",
-    "element_profile",
-    "monogenic_equal",
-    "monogenic_table",
-    "is_idempotent",
-    "satisfies_x2_x3",
-    "is_nowhere_commutative",
-    "is_rectangular_band",
     "Case",
     "Classification",
     "classify",
@@ -125,15 +117,6 @@ class Semigroup:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def power(self, a: int, e: int) -> int:
-        """The e-th power of ``a`` for e >= 1."""
-        if e < 1:
-            raise ValueError("powers start at 1 in a semigroup")
-        v = a
-        for _ in range(e - 1):
-            v = self.table[v][a]
-        return v
-
     def as_array(self) -> np.ndarray:
         import numpy as np
 
@@ -149,100 +132,6 @@ class Semigroup:
 
     def __repr__(self):
         return f"Semigroup({[list(r) for r in self.table]})"
-
-
-class ElementProfile(NamedTuple):
-    """Power structure of one element.
-
-    ``cycle_powers`` lists a^1, a^2, ... up to (not including) the first
-    repeated power, i.e. exactly the subsemigroup generated by the element,
-    so ``len(cycle_powers) == index + period - 1``.  Powers then obey
-    a^p = a^q  iff  p = q, or p, q >= index and p = q (mod period).
-    """
-
-    element: int
-    index: int
-    period: int
-    cycle_powers: tuple[int, ...]
-
-
-def element_profile(S: Semigroup, a: int) -> ElementProfile:
-    """Index, period and power cycle of ``a``, found by iterating powers."""
-    if not 0 <= a < S.order:
-        raise ValueError(f"element {a} outside 0..{S.order - 1}")
-    seen: dict[int, int] = {}
-    powers = []
-    x, p = a, 1
-    while x not in seen:
-        seen[x] = p
-        powers.append(x)
-        x = S.table[x][a]
-        p += 1
-    first = seen[x]
-    return ElementProfile(
-        element=a, index=first, period=p - first, cycle_powers=tuple(powers)
-    )
-
-
-def monogenic_equal(index: int, period: int, p: int, q: int) -> bool:
-    """Whether a^p = a^q for any element of the given index and period.
-
-    Exponents 0 are accepted and compare equal only to each other; they
-    stand for an empty product and never arise from an actual term.
-    """
-    if index < 1 or period < 1:
-        raise ValueError("index and period are positive")
-    if p < 0 or q < 0:
-        raise ValueError("exponents are nonnegative")
-    return p == q or (p >= index and q >= index and (p - q) % period == 0)
-
-
-def monogenic_table(index: int, period: int) -> Semigroup:
-    """The semigroup generated by one element of the given index and period.
-
-    Element ``i`` stands for the (i+1)-th power of the generator, so the
-    generator itself is element 0 and the order is ``index + period - 1``.
-    """
-    if index < 1 or period < 1:
-        raise ValueError("index and period are positive")
-    size = index + period - 1
-
-    def reduce(e: int) -> int:
-        if e <= size:
-            return e - 1
-        return index - 1 + (e - index) % period
-
-    return Semigroup([[reduce(i + j + 2) for j in range(size)] for i in range(size)])
-
-
-def is_idempotent(S: Semigroup) -> bool:
-    """Every element squares to itself."""
-    return all(S.table[a][a] == a for a in range(S.order))
-
-
-def satisfies_x2_x3(S: Semigroup) -> bool:
-    """The identity x^2 = x^3 holds: each square s = aa has sa = s."""
-    t = S.table
-    return all(t[t[a][a]][a] == t[a][a] for a in range(S.order))
-
-
-def is_nowhere_commutative(S: Semigroup) -> bool:
-    """No two distinct elements commute."""
-    t = S.table
-    return all(
-        t[a][b] != t[b][a] for a in range(S.order) for b in range(a + 1, S.order)
-    )
-
-
-def is_rectangular_band(S: Semigroup) -> bool:
-    """Idempotent and satisfying xyz = xz."""
-    if not is_idempotent(S):
-        return False
-    t = S.table
-    n = S.order
-    return all(
-        t[t[x][y]][z] == t[x][z] for x in range(n) for y in range(n) for z in range(n)
-    )
 
 
 class Case(Enum):

@@ -9,7 +9,6 @@ the closure of the coordinate projections under the pointwise product.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -31,9 +30,7 @@ __all__ = [
     "parse_equations",
     "encode_point",
     "decode_point",
-    "all_points",
     "coordinate_grid",
-    "eval_term",
     "TermFunction",
     "TermFunctions",
     "term_functions",
@@ -248,11 +245,6 @@ def decode_point(index: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
-def all_points(n: int, k: int):
-    """All points of S^k in encoded (lexicographic) order."""
-    return itertools.product(range(n), repeat=k)
-
-
 def coordinate_grid(n: int, k: int) -> np.ndarray:
     """Shape (k, n**k) array: row i holds coordinate i of every encoded point."""
     return np.indices((n,) * k).reshape(k, n**k)
@@ -269,17 +261,6 @@ def _fold_word(word: tuple[int, ...], values, flat, n: int):
     for letter in word[1:]:
         v = flat[v * n + values[letter]]
     return v
-
-
-def eval_term(S: Semigroup, term: Term, point) -> int:
-    """Value of a term at a point of S^arity: a left-to-right table fold."""
-    point = tuple(point)
-    if len(point) != term.arity:
-        raise ValueError(f"point has {len(point)} coordinates, term arity is {term.arity}")
-    n = S.order
-    if not all(0 <= c < n for c in point):
-        raise ValueError(f"coordinates must lie in 0..{n - 1}")
-    return _fold_word(term.word, point, tuple(itertools.chain.from_iterable(S.table)), n)
 
 
 @dataclass(frozen=True)

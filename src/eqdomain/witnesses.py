@@ -22,17 +22,14 @@ budget trips where the search would.
 
 The module imports only :mod:`.semigroups`, so checking the theorem loads
 no clone engine (``terms``, ``geometry``) and no numpy; that is why the
-union-target test and lemma 3's exponent vectors live here too.
+union-target test lives here too.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .semigroups import (
-    DEFAULT_BUDGET, BudgetExceeded, Case, Classification, ElementProfile, Semigroup, classify,
-    monogenic_equal,
-)
+from .semigroups import DEFAULT_BUDGET, BudgetExceeded, Case, Classification, Semigroup, classify
 
 __all__ = [
     "WitnessNotFound",
@@ -43,10 +40,6 @@ __all__ = [
     "witness_lemma1_case2",
     "witness_lemma2",
     "witness_lemma3",
-    "ExponentVector",
-    "exponent_vector",
-    "power_eval",
-    "verify_eq1_argument",
     "check_semigroup",
 ]
 
@@ -356,61 +349,6 @@ def witness_lemma3(S: Semigroup, cls: Classification | None = None) -> WitnessRe
     """
     cls = _classified(S, cls, Case.UNBOUNDED)
     return _report(S, cls, _shape_key(S, cls))
-
-
-class ExponentVector(NamedTuple):
-    """Occurrence counts of each variable in a term."""
-
-    counts: tuple[int, ...]
-
-
-def exponent_vector(term) -> ExponentVector:
-    """The occurrence counts of each variable in ``term``, a :class:`~eqdomain.terms.Term`."""
-    counts = [0] * term.arity
-    for v in term.word:
-        counts[v] += 1
-    return ExponentVector(tuple(counts))
-
-
-def power_eval(ev: ExponentVector, powers) -> int:
-    """Total exponent of ``a`` when the term is evaluated at (a^powers[0], ...)."""
-    powers = tuple(powers)
-    if len(powers) != len(ev.counts):
-        raise ValueError("one power per variable")
-    return sum(c * p for c, p in zip(ev.counts, powers))
-
-
-# Powers of a at the two inside probes and at the outside probe: the
-# outside exponents are coordinatewise sums of the inside ones, which is
-# what makes multiplying the two equation instances work.
-_INSIDE_EXPONENTS_1 = (2, 1, 1, 1)
-_INSIDE_EXPONENTS_2 = (1, 1, 2, 1)
-_OUTSIDE_EXPONENTS = (3, 2, 3, 2)
-
-
-def verify_eq1_argument(
-    profile: ElementProfile, t_counts: ExponentVector, s_counts: ExponentVector
-) -> bool:
-    """Check one instance of the multiply-the-equations step.
-
-    If a term pair agrees at both inside probes (as powers of a), it must
-    agree at the outside probe, whose exponents are the sums of the probe
-    exponents.  Power arithmetic makes the implication hold for every
-    index/period and every pair of occurrence-count vectors, which is what
-    the exhaustive sweep asserts.
-    """
-    if len(t_counts.counts) != 4 or len(s_counts.counts) != 4:
-        raise ValueError("occurrence counts are over the four variables")
-    m, r = profile.index, profile.period
-
-    def agree(weights) -> bool:
-        return monogenic_equal(
-            m, r, power_eval(t_counts, weights), power_eval(s_counts, weights)
-        )
-
-    if agree(_INSIDE_EXPONENTS_1) and agree(_INSIDE_EXPONENTS_2):
-        return agree(_OUTSIDE_EXPONENTS)
-    return True
 
 
 _BUILDERS = {

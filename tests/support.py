@@ -5,14 +5,20 @@ associativity is brute-forced over all triples of raw tables, and the
 closure oracle enumerates raw words without deduplication.  The one-by-one
 term-function search and its grouping by ``bytes`` keys are kept as the
 oracles of the block engine and of the numpy grouping in the library.
+The power structure, the band predicates, lemma 3's exponent argument, the
+early-exit canonical-form test and the one-point term fold live here too:
+no command runs them, and each checks what the library computes its own
+way or what a lemma claims.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from eqdomain import (
     DEFAULT_BUDGET,
+    MODES,
     BudgetExceeded,
     Case,
     PointSet,
@@ -235,6 +241,185 @@ def power_by_table(S, a, e):
     return v
 
 
+class ElementProfile(NamedTuple):
+    """Power structure of one element.
+
+    ``cycle_powers`` lists a^1, a^2, ... up to (not including) the first
+    repeated power, i.e. exactly the subsemigroup generated by the element,
+    so ``len(cycle_powers) == index + period - 1``.  Powers then obey
+    a^p = a^q  iff  p = q, or p, q >= index and p = q (mod period).
+    """
+
+    element: int
+    index: int
+    period: int
+    cycle_powers: tuple[int, ...]
+
+
+def element_profile(S, a):
+    """Index, period and power cycle of ``a``, found by iterating powers."""
+    if not 0 <= a < S.order:
+        raise ValueError(f"element {a} outside 0..{S.order - 1}")
+    seen, powers = {}, []
+    x, p = a, 1
+    while x not in seen:
+        seen[x] = p
+        powers.append(x)
+        x = S.table[x][a]
+        p += 1
+    first = seen[x]
+    return ElementProfile(a, first, p - first, tuple(powers))
+
+
+def monogenic_equal(index, period, p, q):
+    """Whether a^p = a^q for any element of the given index and period.
+
+    Exponents 0 are accepted and compare equal only to each other; they
+    stand for an empty product and never arise from an actual term.
+    """
+    if index < 1 or period < 1:
+        raise ValueError("index and period are positive")
+    if p < 0 or q < 0:
+        raise ValueError("exponents are nonnegative")
+    return p == q or (p >= index and q >= index and (p - q) % period == 0)
+
+
+def monogenic_table(index, period):
+    """The semigroup generated by one element of the given index and period.
+
+    Element ``i`` stands for the (i+1)-th power of the generator, so the
+    generator itself is element 0 and the order is ``index + period - 1``.
+    """
+    if index < 1 or period < 1:
+        raise ValueError("index and period are positive")
+    size = index + period - 1
+
+    def reduce(e):
+        return e - 1 if e <= size else index - 1 + (e - index) % period
+
+    return Semigroup([[reduce(i + j + 2) for j in range(size)] for i in range(size)])
+
+
+def is_idempotent(S):
+    """Every element squares to itself."""
+    return all(S.table[a][a] == a for a in range(S.order))
+
+
+def is_nowhere_commutative(S):
+    """No two distinct elements commute."""
+    t = S.table
+    return all(t[a][b] != t[b][a] for a in range(S.order) for b in range(a + 1, S.order))
+
+
+def is_rectangular_band(S):
+    """Idempotent and satisfying xyz = xz."""
+    t, n = S.table, S.order
+    return is_idempotent(S) and all(
+        t[t[x][y]][z] == t[x][z] for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
+class ExponentVector(NamedTuple):
+    """Occurrence counts of each variable in a term."""
+
+    counts: tuple[int, ...]
+
+
+def exponent_vector(term):
+    """The occurrence counts of each variable in ``term``."""
+    counts = [0] * term.arity
+    for v in term.word:
+        counts[v] += 1
+    return ExponentVector(tuple(counts))
+
+
+def power_eval(ev, powers):
+    """Total exponent of ``a`` when the term is evaluated at (a^powers[0], ...)."""
+    powers = tuple(powers)
+    if len(powers) != len(ev.counts):
+        raise ValueError("one power per variable")
+    return sum(c * p for c, p in zip(ev.counts, powers))
+
+
+# Powers of a at lemma 3's two inside probes and at its outside probe: the
+# outside exponents are coordinatewise sums of the inside ones, which is
+# what makes multiplying the two equation instances work.
+_INSIDE_EXPONENTS_1 = (2, 1, 1, 1)
+_INSIDE_EXPONENTS_2 = (1, 1, 2, 1)
+_OUTSIDE_EXPONENTS = (3, 2, 3, 2)
+
+
+def verify_eq1_argument(profile, t_counts, s_counts):
+    """Check one instance of lemma 3's multiply-the-equations step.
+
+    If a term pair agrees at both inside probes (as powers of a), it must
+    agree at the outside probe, whose exponents are the sums of the probe
+    exponents.  Power arithmetic makes the implication hold for every
+    index/period and every pair of occurrence-count vectors, which is what
+    the exhaustive sweep asserts.
+    """
+    if len(t_counts.counts) != 4 or len(s_counts.counts) != 4:
+        raise ValueError("occurrence counts are over the four variables")
+    m, r = profile.index, profile.period
+
+    def agree(weights):
+        return monogenic_equal(m, r, power_eval(t_counts, weights), power_eval(s_counts, weights))
+
+    if agree(_INSIDE_EXPONENTS_1) and agree(_INSIDE_EXPONENTS_2):
+        return agree(_OUTSIDE_EXPONENTS)
+    return True
+
+
+def is_canonical(table, mode):
+    """Whether ``table`` equals ``canonical_table(table, mode)``.
+
+    True unless some relabeling (in ``up_to_iso_and_anti`` mode, also of
+    the transpose) is lexicographically smaller.  Each candidate is built
+    cell by cell in row-major order and dropped at the first cell where it
+    is larger, so most candidates cost a cell or two.
+    """
+    if mode == "raw":
+        return True
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    n = len(table)
+    views = [table]
+    if mode == "up_to_iso_and_anti":
+        views.append(tuple(zip(*table)))
+    inverse = [0] * n
+    for view in views:
+        # sigma maps a cell of the candidate to the cell of view it is read from
+        for sigma in itertools.permutations(range(n)):
+            for a, s in enumerate(sigma):
+                inverse[s] = a
+            for i in range(n):
+                row, src = table[i], view[sigma[i]]
+                for j in range(n):
+                    c = inverse[src[sigma[j]]]
+                    if c != row[j]:
+                        if c < row[j]:
+                            return False
+                        break
+                else:
+                    continue  # row i ties: compare row i + 1
+                break  # the candidate is larger: try the next one
+    return True
+
+
+def eval_term(S, term, point):
+    """Value of a term at a point of S^arity: a left-to-right fold through
+    ``S.table``, one product at a time."""
+    point = tuple(point)
+    if len(point) != term.arity:
+        raise ValueError(f"point has {len(point)} coordinates, term arity is {term.arity}")
+    if not all(0 <= c < S.order for c in point):
+        raise ValueError(f"coordinates must lie in 0..{S.order - 1}")
+    v = point[term.word[0]]
+    for letter in term.word[1:]:
+        v = S.table[v][point[letter]]
+    return v
+
+
 def generated_subset(S, a):
     """Elements of the subsemigroup generated by ``a``, by saturation."""
     elems = {a}
@@ -301,7 +486,7 @@ def in_m4(p):
 
 def reference_report(S):
     """The unchecked report of a nontrivial S, built through ``Semigroup.mul``
-    and ``power`` as the four lemmas state it.
+    and :func:`power_by_table` as the four lemmas state it.
 
     Only ``shape`` is taken from the library (:func:`_shape_key`), so that
     the report compares equal to the library's; what a shape fixes is
@@ -311,7 +496,7 @@ def reference_report(S):
     mul = S.mul
     if cls.case is Case.UNBOUNDED:
         a = cls.element
-        a2, a3 = S.power(a, 2), S.power(a, 3)
+        a2, a3 = power_by_table(S, a, 2), power_by_table(S, a, 3)
         return WitnessReport(
             semigroup=S,
             classification=cls,
@@ -327,9 +512,9 @@ def reference_report(S):
         )
     if cls.case is Case.BOUNDED_NON_IDEMPOTENT:
         a = cls.element
-        a2 = S.power(a, 2)
+        a2 = power_by_table(S, a, 2)
         lemma, elements, x, y, pair_name = "2", {"a": a, "a2": a2}, a, a2, "a,a^2"
-        identities = (("a != a^2", a != a2), ("a^2 = a^3", a2 == S.power(a, 3)))
+        identities = (("a != a^2", a != a2), ("a^2 = a^3", a2 == power_by_table(S, a, 3)))
     elif cls.case is Case.IDEMPOTENT_COMMUTING_PAIR:
         a, b = cls.pair
         c = mul(a, b)

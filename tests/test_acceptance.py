@@ -14,20 +14,14 @@ import time
 import pytest
 
 from eqdomain import (
-    ExponentVector,
     Semigroup,
     algebraic_closure,
     classify,
-    element_profile,
     enumerate_tables,
     in_pair_closure,
     is_algebraic,
-    is_nowhere_commutative,
-    is_rectangular_band,
-    monogenic_table,
     union_target_m3,
     union_target_m4,
-    verify_eq1_argument,
     witness_lemma1_case1,
     witness_lemma1_case2,
     witness_lemma2,
@@ -38,14 +32,20 @@ from support import (
     NULL2,
     RECT_BAND_2X2,
     Z2,
+    ExponentVector,
     brute_force_assoc_tables,
+    element_profile,
     in_m3,
     in_m4,
+    is_nowhere_commutative,
+    is_rectangular_band,
+    monogenic_table,
     naive_closure_mask,
     naive_is_algebraic,
     random_point_set,
     search_free_pair,
     uniform_pair,
+    verify_eq1_argument,
 )
 
 RAW_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492}

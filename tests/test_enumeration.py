@@ -4,18 +4,23 @@ from itertools import zip_longest
 import pytest
 
 from eqdomain import (
-    CanonicalForm,
     CorpusError,
     CorpusWarning,
     Semigroup,
-    canonicalize,
     enumerate_tables,
     format_table,
     parse_corpus,
     read_corpus,
 )
-from eqdomain.enumeration import MODES, _assoc_tables, canonical_table, is_canonical, split_search
-from support import LEFT_ZERO, RIGHT_ZERO, Z2, brute_force_assoc_tables, cell_scan_assoc_tables
+from eqdomain.enumeration import MODES, _assoc_tables, canonical_table, split_search
+from support import (
+    LEFT_ZERO,
+    RIGHT_ZERO,
+    Z2,
+    brute_force_assoc_tables,
+    cell_scan_assoc_tables,
+    is_canonical,
+)
 
 RAW_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3_492}
 ISO_COUNTS = {2: 5, 3: 24, 4: 188}
@@ -184,14 +189,14 @@ class TestTrustedTables:
 
 class TestCanonicalize:
     def test_raw_mode_is_identity(self):
-        assert canonicalize(RIGHT_ZERO, "raw") == CanonicalForm(RIGHT_ZERO.table, "raw")
+        assert canonical_table(RIGHT_ZERO.table, "raw") == RIGHT_ZERO.table
 
     def test_left_and_right_zero(self):
-        iso_l = canonicalize(LEFT_ZERO, "up_to_iso").table
-        iso_r = canonicalize(RIGHT_ZERO, "up_to_iso").table
+        iso_l = canonical_table(LEFT_ZERO.table, "up_to_iso")
+        iso_r = canonical_table(RIGHT_ZERO.table, "up_to_iso")
         assert iso_l != iso_r
-        anti_l = canonicalize(LEFT_ZERO, "up_to_iso_and_anti").table
-        anti_r = canonicalize(RIGHT_ZERO, "up_to_iso_and_anti").table
+        anti_l = canonical_table(LEFT_ZERO.table, "up_to_iso_and_anti")
+        anti_r = canonical_table(RIGHT_ZERO.table, "up_to_iso_and_anti")
         assert anti_l == anti_r
 
     def test_idempotent(self):
@@ -201,10 +206,7 @@ class TestCanonicalize:
 
     def test_relabelings_share_canonical_form(self):
         relabeled = Semigroup([[1, 0], [0, 1]])  # Z2 with the identity renamed
-        assert (
-            canonicalize(Z2, "up_to_iso").table
-            == canonicalize(relabeled, "up_to_iso").table
-        )
+        assert canonical_table(Z2.table, "up_to_iso") == canonical_table(relabeled.table, "up_to_iso")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

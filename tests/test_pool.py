@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from eqdomain import pool
 from eqdomain.cli import main
 from eqdomain.pool import WorkerLost, _ordered_map
 
@@ -39,9 +40,28 @@ def answers_task_0_last(task):
     return [task]
 
 
-def test_dead_worker_is_named_and_every_worker_is_joined():
+def test_dead_worker_is_named_and_every_worker_is_joined(monkeypatch):
+    # the join calls on each worker's own handle: active_children() reaps
+    # exited children by itself, so it cannot show that the pool joined them
+    joins = {}
+    start = pool._start_worker
+
+    def recording(fn, cpu):
+        conn, process = start(fn, cpu)
+        joins[process] = 0
+        join = process.join
+
+        def counted(*args, **kwargs):
+            joins[process] += 1
+            return join(*args, **kwargs)
+
+        process.join = counted
+        return conn, process
+
+    monkeypatch.setattr(pool, "_start_worker", recording)
     with pytest.raises(WorkerLost, match=r"^a worker process died; lost task 3$"):
         list(_ordered_map(exits_on_3, range(6), 2, lambda index, task: f"task {task}"))
+    assert len(joins) == 2 and all(joins.values())
     assert multiprocessing.active_children() == []
 
 

@@ -9,15 +9,24 @@ from eqdomain import (
     Semigroup,
     TableError,
     classify,
+)
+from support import (
+    LEFT_ZERO,
+    MIN2,
+    NULL2,
+    RECT_BAND_2X2,
+    RIGHT_ZERO,
+    Z2,
+    Z3,
     element_profile,
+    generated_subset,
     is_idempotent,
     is_nowhere_commutative,
     is_rectangular_band,
     monogenic_equal,
     monogenic_table,
-    satisfies_x2_x3,
+    power_by_table,
 )
-from support import LEFT_ZERO, MIN2, NULL2, RECT_BAND_2X2, RIGHT_ZERO, Z2, Z3, generated_subset
 
 
 class TestValidation:
@@ -68,15 +77,6 @@ class TestValidation:
 
 
 class TestPowers:
-    def test_power_examples(self):
-        assert Z2.power(1, 2) == 0
-        assert Z2.power(1, 3) == 1
-        assert LEFT_ZERO.power(1, 5) == 1
-
-    def test_power_rejects_zero_exponent(self):
-        with pytest.raises(ValueError):
-            Z2.power(1, 0)
-
     def test_profile_of_idempotent(self):
         p = element_profile(MIN2, 0)
         assert (p.index, p.period) == (1, 1)
@@ -133,7 +133,7 @@ class TestMonogenicEqual:
                 for p in range(1, bound + 1):
                     for q in range(1, bound + 1):
                         assert monogenic_equal(prof.index, prof.period, p, q) == (
-                            S.power(a, p) == S.power(a, q)
+                            power_by_table(S, a, p) == power_by_table(S, a, q)
                         )
 
     @given(
@@ -168,11 +168,9 @@ class TestPredicates:
 
     def test_group_not_idempotent(self):
         assert not is_idempotent(Z2)
-        assert not satisfies_x2_x3(Z2)
 
     def test_null_semigroup_bounded(self):
         assert not is_idempotent(NULL2)
-        assert satisfies_x2_x3(NULL2)
 
     def test_nowhere_commutative_iff_rectangular_band(self, semigroups_le3):
         for S in semigroups_le3:
@@ -180,8 +178,8 @@ class TestPredicates:
 
 
 def bounded_by_powers(S):
-    """x^2 = x^3, read off ``Semigroup.power``."""
-    return all(S.power(a, 2) == S.power(a, 3) for a in range(S.order))
+    """x^2 = x^3, read off ``power_by_table``."""
+    return all(power_by_table(S, a, 2) == power_by_table(S, a, 3) for a in range(S.order))
 
 
 class TestClassify:
@@ -196,12 +194,8 @@ class TestClassify:
         c = classify(Z2)
         assert c.case is Case.UNBOUNDED and c.element == 1
 
-    def test_x2_x3_matches_the_powers(self, semigroups_le3, semigroups_order4):
-        for S in semigroups_le3 + semigroups_order4:
-            assert satisfies_x2_x3(S) == bounded_by_powers(S)
-
     def test_exactly_one_case_with_valid_witness(self, semigroups_le3, semigroups_order4):
-        # every raw table of orders 1-4, against the powers, not satisfies_x2_x3
+        # every raw table of orders 1-4, against the powers
         for S in semigroups_le3 + semigroups_order4:
             c = classify(S)
             bounded = bounded_by_powers(S)
@@ -239,5 +233,5 @@ class TestClassify:
                 assert all(S.mul(x, x) == x for x in range(a))
             if c.case is Case.UNBOUNDED:
                 a = c.element
-                assert S.power(a, 2) != S.power(a, 3)
-                assert all(S.power(x, 2) == S.power(x, 3) for x in range(a))
+                assert power_by_table(S, a, 2) != power_by_table(S, a, 3)
+                assert all(power_by_table(S, x, 2) == power_by_table(S, x, 3) for x in range(a))

@@ -6,18 +6,14 @@ import eqdomain.witnesses as witnesses
 from eqdomain import (
     BudgetExceeded,
     Case,
-    ExponentVector,
     Semigroup,
     algebraic_closure,
     check_semigroup,
     classify,
-    element_profile,
     enumerate_tables,
     in_pair_closure,
-    monogenic_table,
     union_target_m3,
     union_target_m4,
-    verify_eq1_argument,
     witness_lemma1_case1,
     witness_lemma1_case2,
     witness_lemma2,
@@ -32,9 +28,13 @@ from support import (
     RIGHT_ZERO,
     Z2,
     Z3,
+    ExponentVector,
+    element_profile,
     in_m3,
     in_m4,
+    monogenic_table,
     reference_report,
+    verify_eq1_argument,
 )
 
 
