@@ -11,7 +11,6 @@ from __future__ import annotations
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,13 +18,15 @@ from .semigroups import DEFAULT_BUDGET, Semigroup
 from .terms import (
     Equation,
     System,
+    Term,
     TermFunction,
     TermFunctions,
     _fold_word,
+    _restricted_clone,
     coordinate_grid,
     decode_point,
     encode_point,
-    term_functions,
+    term_functions,  # noqa: F401 -- perfbench/tracer.py rebinds geometry.term_functions
 )
 from .witnesses import in_union_target
 
@@ -251,32 +252,34 @@ def union_target_m4(S: Semigroup) -> PointSet:
     return PointSet._from_bool(in_union_target(coordinate_grid(S.order, 4), "m4"), S.order, 4)
 
 
-class _AgreeingPairs(Sequence):
-    """Pairs (term function ``rep[m]``, term function ``m``) for the members m.
+class _RelationPairs(Sequence):
+    """The relations of the search for the clone restricted to Y, as pairs
+    of term functions that agree on Y, built on access: the kept function
+    with some restriction, and the product or projection that has it too.
 
-    Pairs come by group, groups in the order of their representatives.
-    The members are put in that order on the first access to a pair, so
-    a caller that wants only the number of pairs never sorts them.  The
-    pairs themselves are built on access.
+    ``relations`` holds, block by block, three arrays: the kept function's
+    number, and the parent (-1 for a projection) and letter of the other
+    function.
     """
 
-    def __init__(self, funcs: TermFunctions, rep: np.ndarray, members: np.ndarray):
+    def __init__(self, S: Semigroup, funcs: TermFunctions, relations):
+        self.flat = S.as_array().ravel()
+        self.grid = coordinate_grid(funcs.order, funcs.arity)
         self.funcs = funcs
-        self.rep = rep
-        self.members = members
-
-    @cached_property
-    def _by_group(self) -> np.ndarray:
-        return self.members[np.argsort(self.rep[self.members], kind="stable")]
+        self.relations = [np.concatenate(a) for a in zip(*relations)]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.relations[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        m = int(self._by_group[range(len(self))[i]])
-        return self.funcs[int(self.rep[m])], self.funcs[m]
+        i = range(len(self))[i]
+        head, parent, letter = (int(a[i]) for a in self.relations)
+        n, k = self.funcs.order, self.funcs.arity
+        word = (self.funcs[parent].witness.word if parent >= 0 else ()) + (letter,)
+        values = _fold_word(word, self.grid, self.flat, n).astype(np.uint8)
+        return self.funcs[head], TermFunction(n, k, values.tobytes(), Term(word, k))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -288,10 +291,10 @@ class _AgreeingPairs(Sequence):
 class ClosureCertificate:
     """Why the closure is what it is.
 
-    ``agreeing_pairs`` holds, for every class of term functions that agree
-    on the input set, the pairs (representative, other member); the closure
-    is exactly the intersection of the equality sets of these pairs, and it
-    always contains the input set.
+    ``agreeing_pairs`` holds pairs of term functions that agree on the
+    input set, which generate every such pair; the closure is exactly the
+    intersection of the equality sets of these pairs, and it always
+    contains the input set.
     """
 
     agreeing_pairs: Sequence[tuple[TermFunction, TermFunction]]
@@ -301,19 +304,17 @@ class ClosureCertificate:
 def algebraic_closure(S: Semigroup, Y: PointSet, budget: int = DEFAULT_BUDGET) -> ClosureCertificate:
     """Smallest algebraic superset of Y, with representative equations.
 
-    Computes all term functions of the arity of Y, groups them by their
-    restriction to Y (two functions agreeing on Y give an equation that
-    holds on Y), and keeps the points where every group is still constant.
-    Grouping makes this linear in the number of functions instead of
-    quadratic over function pairs.  The clone is built with Y's points
-    stored first, and :meth:`TermFunctions.agreement` groups it on them.
+    The closure is the set of points where every two term functions that
+    agree on Y agree.  It is read from T, the clone restricted to Y, built
+    by :func:`terms._restricted_clone` with Y's points first: a point is
+    in the closure exactly when the two functions of each relation of
+    that search agree there.  ``budget`` bounds |T|.
     """
     if Y.n != S.order:
         raise ValueError("point set is over a different order")
-    funcs = term_functions(S, Y.k, budget=budget, first=Y._bool_array().nonzero()[0])
-    rep, members, differ = funcs.agreement()
-    closure = PointSet._from_bool(~differ, Y.n, Y.k)
-    return ClosureCertificate(_AgreeingPairs(funcs, rep, members), closure)
+    clone = _restricted_clone(S, Y.k, budget, Y._bool_array().nonzero()[0])
+    closure = PointSet._from_bool(~clone.differing(), Y.n, Y.k)
+    return ClosureCertificate(_RelationPairs(S, clone.functions(), clone.relations), closure)
 
 
 def is_algebraic(

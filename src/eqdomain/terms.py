@@ -436,33 +436,19 @@ class _RowLayout:
         slots = _digit_table(self.order)[rows]
         return np.take(slots.reshape(rows.shape[:-1] + (-1,)), self.where, axis=-1)
 
-    def differing(self, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether row ``a[i]`` of ``rows`` differs from row ``b[i]``, for
-        some i, at each point: a bool per point, in encoded order.
-
-        Only the bytes after the ``lead`` are read, so the first points
-        read False.  Each byte pair is looked up in the table of
-        :func:`_differing_digits`, a slice of rows at a time, and the bits
-        are ORed over the pairs.
-        """
-        rest = rows[:, self.lead :]
-        table = _differing_digits(self.order)
-        bits = np.zeros(rest.shape[1], dtype=np.uint8)
-        step = max(1, _HASH_CHUNK_BYTES // max(1, rest.shape[1]))
-        for s in range(0, len(a), step):
-            index = np.left_shift(rest[b[s : s + step]], 8, dtype=np.uint16)
-            index |= rest[a[s : s + step]]
-            bits |= np.bitwise_or.reduce(np.take(table, index), axis=0)
-        slots = np.zeros(len(self.slots), dtype=bool)
-        flags = np.unpackbits(bits[:, None], axis=1, count=self.per_byte, bitorder="little")
-        slots[self.lead * self.per_byte :] = flags.ravel()
-        return slots[self.where]
-
 
 class _CloneTable:
-    """Distinct stored rows in discovery order, with an exact hash index.
+    """Rows of distinct keys in discovery order, with an exact hash index.
 
-    The index is two arrays: ``hashes`` holds the stored rows' hashes in
+    A row's key is its first ``key`` bytes, the layout's ``lead``: its
+    values at the layout's first points.  A row whose key is stored
+    already is not kept, and the pair it makes with the stored row of its
+    key is a relation: ``relations`` holds, for each, the stored row's
+    number and the parent and letter of the row not kept.  ``differ``
+    holds a byte for each byte after the key, whose bit t is set when
+    digit t differs between the two rows of some relation.
+
+    The index is two arrays: ``hashes`` holds the stored keys' hashes in
     ascending order, and ``ids`` the number of each hash's row.  Both are
     views of a pair of arrays with room to grow, and ``spare`` is a second
     such pair, which the next merge writes into.  Row numbers, the index's
@@ -470,46 +456,54 @@ class _CloneTable:
     take the narrowest unsigned type that holds the arity.
     """
 
-    def __init__(self, width: int, budget: int, arity: int):
+    def __init__(self, layout: _RowLayout, budget: int):
+        self.layout = layout
         self.budget = budget
-        self.rows = np.zeros((0, width), dtype=np.uint8)
+        self.key = layout.lead
+        self.rows = np.zeros((0, layout.width), dtype=np.uint8)
         self.parents: list[np.ndarray] = []
         self.letters: list[np.ndarray] = []
+        self.relations: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.differ = np.zeros(layout.width - self.key, dtype=np.uint8)
         self.id_type = np.dtype(np.int32 if budget < np.iinfo(np.int32).max else np.int64)
-        self.letter_type = np.min_scalar_type(arity - 1)
+        self.letter_type = np.min_scalar_type(layout.arity - 1)
         self.hashes, self.ids = np.zeros(0, dtype=np.uint64)[:], np.zeros(0, dtype=self.id_type)[:]
         self.spare = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=self.id_type)
 
     def _rows_of(self, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The uint64 words of the rows numbered ``ids``: the stored rows,
-        and past them the rows of ``block``."""
-        words = np.empty((len(ids), block.shape[1] // 8), dtype=np.uint64)
+        """The rows numbered ``ids``: the stored rows, and past them the
+        rows of ``block``."""
+        rows = np.empty((len(ids), block.shape[1]), dtype=np.uint8)
         inner = ids >= len(self.rows)
-        words[inner] = block.view(np.uint64)[ids[inner] - len(self.rows)]
-        words[~inner] = self.rows.view(np.uint64)[ids[~inner]]
-        return words
+        rows[inner] = block[ids[inner] - len(self.rows)]
+        rows[~inner] = self.rows[ids[~inner]]
+        return rows
 
     def add(self, rows: np.ndarray, parent: np.ndarray, letter: np.ndarray):
-        """Append the rows not seen before, in order, first occurrence kept.
+        """Append the rows of keys not seen before, in order, first
+        occurrence kept, and relate each other row to the row of its key.
 
         The block is grouped where it lies, row i under the provisional
         number ``start + i``, past the ``start`` stored rows.  One sort of
-        the block's hashes points each row at the least row of the block
-        with its hash (:func:`_least_of_each`), and one search of the sorted
-        hashes in the index points it at a stored row with its hash instead,
-        where there is one.  Each pointer is confirmed by comparing the two
-        rows, and the rows of a hash that different rows share are
-        regrouped by their bytes (:func:`_regroup`), so two different
-        functions are never merged.  The rows that point at themselves are
-        new: they are numbered in block order, their hashes merged into the
-        index where the search put them, and they are copied once, to the
-        end of the stored rows.  The matrix grows in place by the rows
-        kept, so a large matrix is remapped rather than copied.  No view of
-        it outlives a step of the search; the reference check is off
-        because a profiler's bound-method call adds a reference.
+        the hashes of the block's keys points each row at the least row of
+        the block with its hash (:func:`_least_of_each`), and one search of
+        the sorted hashes in the index points it at a stored row with its
+        hash instead, where there is one.  Each pointer is confirmed by
+        comparing the two keys, and the rows of a hash that different keys
+        share are regrouped by their keys (:func:`_regroup`), so two
+        different keys are never merged.  Each other row and the row it
+        points at differ after the key where :func:`_differing_digits`
+        says, read a slice of rows at a time before the matrix grows.  The
+        rows that point at themselves are new: they are numbered in block
+        order, their hashes merged into the index where the search put
+        them, and they are copied once, to the end of the stored rows.  The
+        matrix grows in place by the rows kept, so a large matrix is
+        remapped rather than copied.  No view of it outlives a step of the
+        search; the reference check is off because a profiler's
+        bound-method call adds a reference.
         """
-        start = len(self.rows)
-        hashes = _row_hashes(rows)
+        start, key = len(self.rows), self.key
+        hashes = _row_hashes(rows[:, :key])
         rep, by_hash = _least_of_each(hashes)
         rep += start
         ordered = hashes[by_hash]
@@ -519,15 +513,25 @@ class _CloneTable:
             rep[by_hash[known]] = self.ids[at[known]]
         number = np.arange(start, start + len(rows))
         dup = (rep != number).nonzero()[0]
-        if len(dup):
-            differ = dup[(self._rows_of(rep[dup], rows) != rows.view(np.uint64)[dup]).any(axis=1)]
-            if len(differ):
-                # hashes that different rows share: regroup their rows exactly
-                shared = np.unique(hashes[differ])
-                lo, hi = self.hashes.searchsorted(shared), self.hashes.searchsorted(shared, "right")
-                stored = np.sort(np.concatenate([self.ids[a:b] for a, b in zip(lo.tolist(), hi.tolist())]))
-                members = np.concatenate((stored, start + _with_hash(hashes, shared)))
-                _regroup(rep, members, lambda m: self._rows_of(m, rows), start)
+        heads, tails = self._rows_of(rep[dup], rows), rows[dup]
+        words = key // 8
+        split = dup[(heads.view(np.uint64)[:, :words] != tails.view(np.uint64)[:, :words]).any(axis=1)]
+        if len(split):
+            # hashes that different keys share: regroup their rows exactly
+            shared = np.unique(hashes[split])
+            lo, hi = self.hashes.searchsorted(shared), self.hashes.searchsorted(shared, "right")
+            stored = np.sort(np.concatenate([self.ids[a:b] for a, b in zip(lo.tolist(), hi.tolist())]))
+            members = np.concatenate((stored, start + _with_hash(hashes, shared)))
+            _regroup(rep, members, lambda m: self._rows_of(m, rows)[:, :key], start)
+            dup = (rep != number).nonzero()[0]
+            heads, tails = self._rows_of(rep[dup], rows), rows[dup]
+        table = _differing_digits(self.layout.order)
+        step = max(1, _HASH_CHUNK_BYTES // max(1, len(self.differ)))
+        for s in range(0, len(dup), step):
+            index = np.left_shift(heads[s : s + step, key:], 8, dtype=np.uint16)
+            index |= tails[s : s + step, key:]
+            self.differ |= np.bitwise_or.reduce(np.take(table, index), axis=0)
+        del heads, tails
         fresh = rep == number
         new = fresh.nonzero()[0]
         end = start + len(new)
@@ -557,8 +561,14 @@ class _CloneTable:
         np.take(rows, new, axis=0, out=self.rows[start:end], mode="clip")
         self.parents.append(parent[new].astype(self.id_type))
         self.letters.append(letter[new].astype(self.letter_type))
+        heads_at = rep[dup]
+        inner = heads_at >= start
+        heads_at[inner] = numbers[heads_at[inner] - start]
+        self.relations.append(
+            (heads_at.astype(self.id_type), parent[dup].astype(self.id_type), letter[dup].astype(self.letter_type))
+        )
 
-    def functions(self, layout: _RowLayout) -> TermFunctions:
+    def functions(self) -> TermFunctions:
         """The stored rows as term functions; the table takes no more rows.
 
         The index and its spare pair are dropped first, so the joined
@@ -567,7 +577,16 @@ class _CloneTable:
         """
         self.hashes = self.ids = self.spare = None
         parents, letters = np.concatenate(self.parents), np.concatenate(self.letters)
-        return TermFunctions(layout, self.rows, parents, letters)
+        return TermFunctions(self.layout, self.rows, parents, letters)
+
+    def differing(self) -> np.ndarray:
+        """Whether the two rows of some relation differ, at each point: a
+        bool per point, in encoded order, False at the first points."""
+        layout = self.layout
+        flags = np.zeros(len(layout.slots), dtype=bool)
+        bits = np.unpackbits(self.differ[:, None], axis=1, count=layout.per_byte, bitorder="little")
+        flags[self.key * layout.per_byte :] = bits.ravel()
+        return flags[layout.where]
 
 
 class _ProductCodes:
@@ -684,52 +703,6 @@ class TermFunctions(Sequence):
         """
         return _texts(self.parent, self.letter)
 
-    def agreement(self):
-        """How the functions group by their values at the layout's first
-        points, for a clone built with ``first``: ``(rep, members, differ)``.
-
-        ``rep[i]`` is the first function that agrees with function i there,
-        ``members`` the functions that are not their own ``rep``, ascending,
-        and ``differ``, a bool per point in encoded order, whether some
-        generating pair differs there.  The first ``lead`` bytes of a row
-        hold its values there, hashed in place; one sort of the hashes puts
-        each group in a run, whose least function is its representative.
-
-        The generating pairs are (u, rep(u)) for each member u whose parent
-        is -1 or a representative.  They imply the others, by induction in
-        discovery order, which is the shortlex order of the witness words.
-        A member u = q·x_j whose parent q is a member with representative r
-        lies in the group of w = r·x_j, as q and r agree at the first
-        points.  The witness of w is at most word(r)·x_j, shortlex below
-        word(q)·x_j = word(u), so w was found before u.  Wherever q = r and
-        w = rep(w) hold, u = w = rep(u) holds too.  So every pair agrees
-        wherever the generating pairs do.  The same induction, at the first
-        points with groups of one hash, shows that the groups are exact once
-        no generating pair's leading bytes differ.  The rows of a hash where
-        some do are regrouped by their bytes; that changes which members are
-        generating, so the check runs again until none differ.  The rest of
-        the generating pairs' rows is read by :meth:`_RowLayout.differing`.
-        """
-        head = self.rows[:, : self.layout.lead]
-        step = max(1, BLOCK_BYTES // self.rows.shape[1])
-        hashes = _row_hashes(head)
-        rep = _least_of_each(hashes)[0]
-        words = head.view(np.uint64)
-        while True:
-            members = (rep != np.arange(len(rep))).nonzero()[0]
-            parent = self.parent[members]
-            generating = members[(parent < 0) | (rep[parent] == parent)]
-            split = [generating[:0]]
-            for s in range(0, len(generating), step):
-                part = generating[s : s + step]
-                split.append(part[(words[part] != words[rep[part]]).any(axis=1)])
-            split = np.concatenate(split)
-            if not len(split):
-                break
-            # hashes shared by different restrictions: regroup their rows exactly
-            _regroup(rep, _with_hash(hashes, np.unique(hashes[split])), lambda rows: head[rows])
-        return rep, members, self.layout.differing(self.rows, generating, rep[generating])
-
     def _function(self, i: int, word: tuple[int, ...]) -> TermFunction:
         values = self.layout.unpack(self.rows[i]).tobytes()
         return TermFunction(self.order, self.arity, values, Term(word, self.arity))
@@ -750,63 +723,88 @@ def _texts(parent: np.ndarray, letter: np.ndarray):
         yield texts[-1]
 
 
-def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, first=()) -> TermFunctions:
+def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET) -> TermFunctions:
     """Every function S^arity -> S induced by a term, in discovery order.
 
     The set is the least one containing the coordinate projections and
-    closed under the pointwise table product.  Because the product is
-    associative, every word function extends a one-letter-shorter word
-    function, so a breadth-first worklist that multiplies each discovered
-    function by the projections on the right reaches the whole set.
-    Projections are seeded in variable order and the queue is FIFO, so the
-    products come in the shortlex order of their words (shorter first, then
-    lexicographic in x1 < x2 < ...), and each function's witness, its first
-    word found, is the shortlex-least word of that function: its reduced
-    word.
+    closed under the pointwise table product: :func:`_restricted_clone`
+    with every point first, so that a function's key is all its values.
+    """
+    return _restricted_clone(S, arity, budget).functions()
+
+
+def _restricted_clone(S: Semigroup, arity: int, budget: int, first=None) -> _CloneTable:
+    """T, the clone of arity ``arity`` restricted to the encoded points of
+    ``first`` (every point when None), with the relations that present it.
+
+    T is the semigroup of the restrictions of the term functions to the
+    first points, which the restricted projections generate.  Each element
+    of T is kept as one row: the values at every point of its witness, the
+    first word found whose function has that restriction.  Because the
+    product is associative, every word extends a one-letter-shorter word,
+    so a breadth-first worklist that multiplies each kept row by the
+    projections on the right reaches all of T.  Projections are seeded in
+    variable order and the queue is FIFO, so the products come in the
+    shortlex order of their words (shorter first, then lexicographic in
+    x1 < x2 < ...), and each witness is the shortlex-least word of its
+    element: its reduced word.
 
     Only the products whose word has a reduced suffix are formed (the
     reduced-word principle of Froidure and Pin, "Algorithms for computing
-    finite semigroups", 1997).  A function u is multiplied by x_j only when
+    finite semigroups", 1997).  A row u is multiplied by x_j only when
     suffix(u)·x_j is a witness word, where suffix(u) is u's witness without
-    its first letter.  The pruned search keeps exactly the functions,
+    its first letter.  The pruned search keeps exactly the elements,
     witnesses and order of the full one:
 
     - every factor of a reduced word is reduced, since shortlex order is
-      kept under concatenation; so the first occurrence of a function, at
-      its reduced word, has a reduced suffix and is formed;
+      kept under concatenation and restriction is a homomorphism; so the
+      first occurrence of an element, at its reduced word, has a reduced
+      suffix and is formed;
     - if suffix(u)·x_j is not reduced, a shortlex-smaller word has its
-      value, and with u's first letter in front it gives a shortlex-smaller
-      word than u·x_j with the value of u·x_j, which the search reached
-      earlier, so the pruned product would not have been new.
+      restriction, and with u's first letter in front it gives a
+      shortlex-smaller word than u·x_j with the restriction of u·x_j,
+      which the search reached earlier, so the pruned product would not
+      have been new.
 
-    ``children[i, j]`` is the id of the function whose witness is
-    word(i)·x_j, or -1 when that word is no witness, for the functions i
-    of the level being expanded, and ``above`` is the same for the level
-    above, numbered from ``above_start``.  Above the first level lies the
-    empty word alone, id -1, whose children are the projections kept (only
-    x1 at order 1).  ``suffix[i]`` is the id of suffix(i), or -1 for the
-    empty word; a new function's suffix is the child of its parent's
-    suffix by its letter.  No other level's state is kept.
+    Every formed product whose restriction is kept already, and every
+    projection that coincides with an earlier one on the first points, is
+    a relation (see :class:`_CloneTable`).  Together they generate, as a
+    congruence, the kernel of restriction to the first points: a word that
+    is not reduced has a shortest factor that is not, a projection not
+    kept or a formed product u·x_j (all its proper factors are reduced),
+    and a relation rewrites that factor to a shortlex-smaller word, until
+    the word is reduced.  Agreement at a point p is a congruence too, so
+    every two term functions that agree on the first points agree at p
+    exactly when the two rows of every relation agree at p:
+    :meth:`_CloneTable.differing` flags the other points.
+
+    ``children[i, j]`` is the id of the row whose witness is word(i)·x_j,
+    or -1 when that word is no witness, for the rows i of the level being
+    expanded, and ``above`` is the same for the level above, numbered from
+    ``above_start``.  Above the first level lies the empty word alone, id
+    -1, whose children are the projections kept (only x1 at order 1).
+    ``suffix[i]`` is the id of suffix(i), or -1 for the empty word; a new
+    row's suffix is the child of its parent's suffix by its letter.  No
+    other level's state is kept.
 
     The search goes a breadth-first level at a time.  The suffixes of a
     level lie one level up, whose children are all known, so the level's
-    kept (function, variable) pairs are listed at once and multiplied in
-    blocks of at most ``BLOCK_BYTES`` product bytes.  The products come in
-    (function, variable) order and the first occurrence of each new value
-    vector is kept, which is the order of the one-by-one search.
+    kept (row, variable) pairs are listed at once and multiplied in blocks
+    of at most ``BLOCK_BYTES`` product bytes.  The products come in
+    (row, variable) order and the first occurrence of each new restriction
+    is kept, which is the order of the one-by-one search.
 
     The kernel multiplies the stored rows by a table lookup (see
     :class:`_ProductCodes`), so hashing, deduplication and the stored
     matrix all work on the layout of :class:`_RowLayout`, whose pad slots
-    hold the point (e, ..., e) of the least idempotent e.  The points of
-    ``first`` (encoded points) are stored ahead of the rest, in whole
-    8-byte words; the functions and their values are the same whatever it
-    is.  Each function costs its n**arity values, stored as base-n digits
-    (three per byte at order 5) and padded to 8-byte words, plus 12 bytes
-    of index (a hash and a row number, twice that while a block's new rows
-    are merged in), and its parent, letter and search state.  So ``budget``
-    (a function count) also bounds the memory: at order 5 and arity 4 a
-    stored row is 216 bytes.
+    hold the point (e, ..., e) of the least idempotent e.  The first
+    points are stored ahead of the rest, in whole 8-byte words, so a row's
+    restriction is its leading bytes.  Each element costs its n**arity
+    values, stored as base-n digits (three per byte at order 5) and padded
+    to 8-byte words, plus 12 bytes of index (a hash and a row number, twice
+    that while a block's new rows are merged in), and its parent, letter
+    and search state.  So ``budget``, a bound on |T|, also bounds the
+    memory: at order 5 and arity 4 a stored row is 216 bytes.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
@@ -816,9 +814,9 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, fi
     if n > 255:
         raise ValueError("value vectors are byte-packed; order must be <= 255")
     pad = next(e for e in range(n) if S.mul(e, e) == e)
-    layout = _RowLayout(n, arity, pad, first)
+    layout = _RowLayout(n, arity, pad, np.arange(n**arity) if first is None else first)
     codes = _ProductCodes(S.as_array(), layout)
-    clone = _CloneTable(layout.width, budget, arity)
+    clone = _CloneTable(layout, budget)
     clone.add(codes.projections, np.full(arity, -1), np.arange(arity))
     ids = clone.id_type
     above, above_start = np.full((1, arity), -1, dtype=ids), -1
@@ -843,4 +841,4 @@ def term_functions(S: Semigroup, arity: int, budget: int = DEFAULT_BUDGET, *, fi
         above, above_start = children, level
         suffix = next_suffix[: len(clone.rows) - level_end]
         level = level_end
-    return clone.functions(layout)
+    return clone

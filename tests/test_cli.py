@@ -445,8 +445,9 @@ FROZEN_STREAMS = [
 # rectangular bands (1.1), semilattices (1.2), a null pair and A2 (2), Z2 (3)
 LEMMA_CORPUS = [LEFT_ZERO, RIGHT_ZERO, RECT_BAND_2X2, MIN2, CHAIN3, NULL2, Z2, A2]
 FROZEN_CHECK = {"json": "66d80500a0587a5fbb5d757a76fc2d57", "text": "78077d421dec2e9caff12d68c23034a9"}
-# closure --set m4 on A2 (JSON): the full clone of 442,392 functions at arity 4
-FROZEN_CLOSURE = "742a1cf74d26bd0111f14cee03f9dfaf"
+# closure --set m4 on A2 (JSON): the clone restricted to m4, 105,112
+# functions, with 18,508 relations
+FROZEN_CLOSURE = "43cf848a5bc20484f689759120f98766"
 
 
 class TestFrozenStreams:
@@ -795,6 +796,17 @@ class TestClosure:
         code, out, err = run(capsys, "closure", table_file(A2), "--set", "m4", "--budget", "2")
         assert (code, out) == (3, "")
         assert err == "error: term-function closure exceeded the budget at size 3\n"
+
+    def test_budget_bounds_the_restricted_clone(self, capsys, table_file):
+        # the clone restricted to m4 has 105,112 functions, the whole
+        # clone 442,392
+        path = table_file(A2)
+        code, out, err = run(capsys, "closure", path, "--set", "m4", "--budget", "105111")
+        assert (code, out) == (3, "")
+        assert err == "error: term-function closure exceeded the budget at size 105112\n"
+        code, out, _ = run(capsys, "closure", path, "--set", "m4", "--budget", "105112")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == FROZEN_CLOSURE
 
 
 class TestTermFunctions:

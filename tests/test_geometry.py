@@ -12,7 +12,6 @@ from eqdomain import (
     Semigroup,
     System,
     Term,
-    TermFunctions,
     algebraic_closure,
     enumerate_tables,
     in_pair_closure,
@@ -24,7 +23,8 @@ from eqdomain import (
     union_target_m4,
 )
 from eqdomain.geometry import in_union_target
-from eqdomain.terms import _RowLayout
+from eqdomain.semigroups import DEFAULT_BUDGET
+from eqdomain.terms import _restricted_clone
 from support import (
     A2,
     LEFT_ZERO,
@@ -35,6 +35,7 @@ from support import (
     grouped_closure,
     naive_closure_mask,
     naive_is_algebraic,
+    per_head_term_functions,
     random_point_set,
 )
 
@@ -185,7 +186,9 @@ class TestClosure:
     def test_left_zero_m3_closure_is_everything(self):
         cert = algebraic_closure(LEFT_ZERO, union_target_m3(LEFT_ZERO))
         assert cert.closure == PointSet.full(2, 3)
-        assert cert.agreeing_pairs == ()
+        # x_i x_j = x_i, so every relation holds at every point
+        assert len(cert.agreeing_pairs) == 9
+        assert all(f.values == g.values for f, g in cert.agreeing_pairs)
 
     def test_solution_sets_are_fixed_points(self):
         Y = solution_set(MIN2, parse_equation("x1 x2 = x2", 2))
@@ -316,30 +319,39 @@ def pair_listing(pairs):
     return [(f.values, f.witness.word, g.values, g.witness.word) for f, g in pairs]
 
 
-def patch_grouping(monkeypatch, **names):
-    """Set ``names`` in ``eqdomain.terms`` only while a clone is grouped by
-    :meth:`TermFunctions.agreement`, so the clone is built with the real
-    ones first."""
-    agreement = TermFunctions.agreement
+def word_values(S, word, k):
+    """The values of a word at every point of S^k, in encoded order, by a
+    fold through the table."""
+    table, grid = np.asarray(S.table), np.indices((S.order,) * k).reshape(k, -1)
+    values = grid[word[0]]
+    for letter in word[1:]:
+        values = table[values, grid[letter]]
+    return values
 
-    def patched(funcs):
-        with monkeypatch.context() as m:
-            for name, value in names.items():
-                m.setattr(eqdomain.terms, name, value)
-            return agreement(funcs)
 
-    monkeypatch.setattr(TermFunctions, "agreement", patched)
+def check_certificate(S, Y, cert):
+    """Each pair is two term functions, each with the values of its
+    witness word, that agree on Y, and the pairs' equality sets intersect
+    to the closure."""
+    on_y = Y._bool_array()
+    keep = np.ones(S.order**Y.k, dtype=bool)
+    for pair in cert.agreeing_pairs:
+        f, g = (np.frombuffer(h.values, dtype=np.uint8) for h in pair)
+        for h, values in zip(pair, (f, g)):
+            assert (values == word_values(S, h.witness.word, Y.k)).all()
+        assert (f[on_y] == g[on_y]).all()
+        keep &= f == g
+    assert PointSet._from_bool(keep, Y.n, Y.k) == cert.closure
 
 
 class TestClosureGrouping:
-    """The numpy grouping against grouping by the bytes of each restriction."""
+    """The closure from the clone restricted to Y against grouping the
+    whole clone by the bytes of each restriction."""
 
     def check(self, S, Y):
         cert = algebraic_closure(S, Y)
-        pairs, mask = grouped_closure(S, Y)
-        assert len(cert.agreeing_pairs) == len(pairs)
-        assert pair_listing(cert.agreeing_pairs) == pair_listing(pairs)
-        assert cert.closure.mask == mask
+        assert cert.closure.mask == grouped_closure(S, Y)[1]
+        check_certificate(S, Y, cert)
 
     def test_matches_oracle_grouping(self, semigroups_le3):
         rng = random.Random(23)
@@ -373,18 +385,13 @@ class TestClosureGrouping:
     def test_shared_hashes_change_nothing(self, monkeypatch, semigroups_le3, block_bytes):
         # Only the 2 low bits of each restriction's hash are kept, so many
         # different restrictions share a hash; with small blocks they do so
-        # across the blocks of the hashing and of the fold too.  The clone
-        # is built with the real hash and blocks first, so the regroups
-        # counted are the grouping's own.
+        # across the blocks of the search too.
         row_hashes = eqdomain.terms._row_hashes
         regrouped = []
         regroup = eqdomain.terms._regroup
-        patch_grouping(
-            monkeypatch,
-            _row_hashes=lambda rows: row_hashes(rows) & np.uint64(3),
-            _regroup=lambda *args: regrouped.append(regroup(*args)),
-            BLOCK_BYTES=block_bytes or eqdomain.terms.BLOCK_BYTES,
-        )
+        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) & np.uint64(3))
+        monkeypatch.setattr(eqdomain.terms, "_regroup", lambda *args: regrouped.append(regroup(*args)))
+        monkeypatch.setattr(eqdomain.terms, "BLOCK_BYTES", block_bytes or eqdomain.terms.BLOCK_BYTES)
         rng = random.Random(31)
         for _ in range(30):
             S = rng.choice(semigroups_le3)
@@ -398,8 +405,10 @@ class TestClosureGrouping:
 
     @pytest.mark.parametrize("kept_bits", [0, 3], ids=["constant", "low2"])
     def test_agreement_matches_oracle_grouping(self, monkeypatch, semigroups_le3, kept_bits):
-        # the grouping method alone, on clones built and grouped under a
-        # hash with only the kept bits left
+        # The search alone, under a hash with only the kept bits left: it
+        # keeps one function per restriction to Y, the first of its group
+        # in the oracle's discovery order, with all its values, and flags
+        # the points where two functions of some group differ.
         row_hashes = eqdomain.terms._row_hashes
         keep = np.uint64(kept_bits)
         monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) & keep)
@@ -409,17 +418,16 @@ class TestClosureGrouping:
             S = rng.choice(semigroups_le3)
             cases.append((S, random_point_set(rng, S.order, rng.randint(1, 3))))
         for S, Y in cases:
-            funcs = term_functions(S, Y.k, first=Y._bool_array().nonzero()[0])
-            rep, members, differ = funcs.agreement()
-            pairs, mask = grouped_closure(S, Y)
-            number = {word: i for i, word in enumerate(funcs.words())}
-            expected = np.arange(len(funcs))
-            for f, g in pairs:
-                expected[number[g.witness.word]] = number[f.witness.word]
-            assert rep.tolist() == expected.tolist()
-            assert members.tolist() == sorted(number[g.witness.word] for _, g in pairs)
+            on_y = Y._bool_array()
+            clone = _restricted_clone(S, Y.k, DEFAULT_BUDGET, on_y.nonzero()[0])
+            firsts = {}
+            for f in per_head_term_functions(S, Y.k):
+                firsts.setdefault(np.frombuffer(f.values, dtype=np.uint8)[on_y].tobytes(), f)
+            funcs = clone.functions()
+            assert [(f.values, f.witness.word) for f in funcs] == [(f.values, f.witness.word) for f in firsts.values()]
+            differ = clone.differing()
             assert differ.dtype == bool and differ.shape == (S.order**Y.k,)
-            assert PointSet._from_bool(~differ, Y.n, Y.k).mask == mask
+            assert PointSet._from_bool(~differ, Y.n, Y.k).mask == grouped_closure(S, Y)[1]
 
     def test_pairs_index_like_a_tuple(self):
         pairs = algebraic_closure(A2, union_target_m3(A2)).agreeing_pairs
@@ -438,9 +446,10 @@ def classes_le4():
 
 
 class TestGeneratingPairs:
-    """The closure is read from the generating pairs alone, (u, rep(u)) for
-    the members u whose parent is -1 or a representative; the oracle
-    groups every function and reads every pair."""
+    """The closure is read from the relations of the search for the clone
+    restricted to Y alone: its products whose restriction was kept
+    already, and its projections that coincide on Y; the oracle groups
+    every function of the whole clone and reads every pair."""
 
     check = TestClosureGrouping.check
 
@@ -452,7 +461,7 @@ class TestGeneratingPairs:
 
     def test_seeded_random_sets(self, classes_le4):
         # small sets, where projections often agree on Y and so are
-        # members without a parent
+        # relations without a parent
         rng = random.Random(47)
         for _ in range(60):
             S = rng.choice(classes_le4[rng.randint(2, 4)])
@@ -464,20 +473,15 @@ class TestGeneratingPairs:
     @pytest.mark.parametrize("kept_bits", [3, 0], ids=["low2", "zero"])
     def test_shared_lead_hashes(self, monkeypatch, classes_le4, kept_bits):
         # Only the kept bits of each restriction's hash are left, so
-        # different restrictions share a hash and the generating pairs'
-        # leading words must be confirmed; a regroup changes which members
-        # are generating, so some closures regroup more than once.  The
-        # clone is built with the real hash first, so the passes counted
-        # are the grouping's own.
+        # different restrictions share a hash and every pointer of the
+        # search must be confirmed on the leading words; the rows of a
+        # shared hash are regrouped in each block where they meet.
         row_hashes = eqdomain.terms._row_hashes
         keep = np.uint64(kept_bits)
         passes = []
         regroup = eqdomain.terms._regroup
-        patch_grouping(
-            monkeypatch,
-            _row_hashes=lambda rows: row_hashes(rows) & keep,
-            _regroup=lambda *args: passes.append(regroup(*args)),
-        )
+        monkeypatch.setattr(eqdomain.terms, "_row_hashes", lambda rows: row_hashes(rows) & keep)
+        monkeypatch.setattr(eqdomain.terms, "_regroup", lambda *args: passes.append(regroup(*args)))
         counts = []
         for n in (2, 3, 4):
             for S in classes_le4[n]:
@@ -487,19 +491,19 @@ class TestGeneratingPairs:
                     counts.append(len(passes))
         assert max(counts) >= (2 if kept_bits else 1)
 
-    def test_a2_m4_reads_a_tenth_of_the_pairs(self, monkeypatch):
-        read = []
-        differing = _RowLayout.differing
-
-        def counting(layout, rows, a, b):
-            read.append(len(a))
-            return differing(layout, rows, a, b)
-
-        monkeypatch.setattr(_RowLayout, "differing", counting)
-        cert = algebraic_closure(A2, union_target_m4(A2))
-        assert read == [31_728]
-        assert len(cert.agreeing_pairs) == 337_280
-        assert len(cert.closure) > len(union_target_m4(A2))
+    def test_a2_m4_checks_only_the_relations(self):
+        Y = union_target_m4(A2)
+        clone = _restricted_clone(A2, 4, DEFAULT_BUDGET, Y._bool_array().nonzero()[0])
+        relations = sum(len(heads) for heads, _, _ in clone.relations)
+        # |T|, against the 442,392 functions of the whole clone; every
+        # product formed and every projection is kept or a relation
+        assert (len(clone.rows), relations) == (105_112, 18_508)
+        assert len(clone.rows) + relations == 123_616 + 4
+        cert = algebraic_closure(A2, Y)
+        assert len(cert.agreeing_pairs) == 18_508
+        assert len(cert.closure) == 521
+        for f, g in cert.agreeing_pairs[::997]:
+            assert all(f(p) == g(p) for p in Y)
 
 
 class TestYFirstClosure:
@@ -511,12 +515,8 @@ class TestYFirstClosure:
     def check(S, Y, mask):
         cert = algebraic_closure(S, Y)
         assert cert.closure.mask == mask
-        # the pairs' values read back in encoded point order, as from a
-        # clone stored in that order
-        plain = {f.witness.word: f.values for f in term_functions(S, Y.k)}
-        for f, g in cert.agreeing_pairs:
-            assert f.values == plain[f.witness.word]
-            assert g.values == plain[g.witness.word]
+        # the pairs' values read back in encoded point order
+        check_certificate(S, Y, cert)
 
     @pytest.mark.parametrize("n, every", [(2, 1), (3, 3), (4, 23)])
     def test_empty_and_full(self, n, every):

@@ -493,9 +493,9 @@ class TestBlockEngine:
         kept = []
         functions = _CloneTable.functions
 
-        def keeping(self, layout):
+        def keeping(self):
             kept.append((self.hashes, self.ids))
-            return functions(self, layout)
+            return functions(self)
 
         monkeypatch.setattr(_CloneTable, "functions", keeping)
         funcs = term_functions(A2, 3)
@@ -559,17 +559,26 @@ class TestRowLayout:
         assert _RowLayout(n, arity).width == width
 
     def test_differing_reads_only_the_rest(self):
+        # rows 20 to 39 repeat the keys, the values at the first points, of
+        # rows 0 to 19, so each is a relation with the row of its key; the
+        # flags are where some relation differs, never at a first point
         n, arity = 5, 3
         rng = np.random.default_rng(5)
         first = np.arange(0, 125, 3)
         layout = _RowLayout(n, arity, 0, first)
         values = rng.integers(0, n, (40, 125)).astype(np.uint8)
         values[:, 0] = 0  # the pad point holds the idempotent 0
-        a, b = np.arange(0, 20), np.arange(20, 40)
-        expected = (values[a] != values[b]).any(axis=0)
+        values[20:, first] = values[:20, first]
+        clone = _CloneTable(layout, 40)
+        clone.add(layout.pack(values[:20]), np.full(20, -1), np.zeros(20, dtype=np.intp))
+        assert len(clone.rows) == 20 and not clone.differing().any()
+        clone.add(layout.pack(values[20:]), np.arange(20), np.ones(20, dtype=np.intp))
+        assert len(clone.rows) == 20
+        expected = (values[:20] != values[20:]).any(axis=0)
         expected[first] = False
-        assert (layout.differing(layout.pack(values), a, b) == expected).all()
-        assert not layout.differing(layout.pack(values), a[:0], b[:0]).any()
+        assert (clone.differing() == expected).all()
+        heads, parents, letters = clone.relations[-1]
+        assert heads.tolist() == parents.tolist() == list(range(20)) and (letters == 1).all()
 
 
 class TestProductKernel:
